@@ -57,7 +57,9 @@ def run(cmd):
         print(f"timed out after {TIMEOUT_S} s", file=sys.stderr)
         return 1
     sys.stdout.write(out)
-    return proc.returncode
+    if proc.returncode != 0:
+        print(f"the JVM exited with code {proc.returncode}", file=sys.stderr)
+    return 1 if proc.returncode != 0 else 0
 
 
 def main():

@@ -17,6 +17,11 @@ import scala.collection.mutable
 object Main {
   val workloads: Seq[String] = Seq("ordered-bitcoin", "relay-flights", "spark-pipeline", "spark-streaming")
 
+  /** Seconds after launch by which the last timed pass should have ended;
+    * `run.py` kills the JVM at 170 s.
+    */
+  val DeadlineS = 120.0
+
   /** The per-layer metrics of every workload listed in BENCHMARK.json, in
     * its order; a layer a workload does not exercise reads 0.
     * `spark-streaming`, which is not listed, adds its own stream layers.
@@ -50,13 +55,21 @@ object Main {
       case "spark-pipeline"  => SparkWorkloads.pipeline(seed, work, traced, tracer)
       case "spark-streaming" => SparkWorkloads.streaming(seed, work, tracer)
     }
-    try {
+    val ok = try {
       w.setup()
       val setupS = (System.currentTimeMillis() - launchedMs) / 1e3
       val steal0 = Probe.stealTicks()
       val passes = mutable.ArrayBuffer.empty[PassResult]
-      while (passes.map(_.wallS).sum < seconds)
+      // A pass with its checks can take several times its timed part; on
+      // a slowed host, stop early rather than run past the time limit.
+      var lastFullS = 0.0
+      def sinceLaunchS = (System.currentTimeMillis() - launchedMs) / 1e3
+      while (passes.map(_.wallS).sum < seconds &&
+             (passes.isEmpty || sinceLaunchS + 1.5 * lastFullS < DeadlineS)) {
+        val t0 = System.nanoTime()
         passes += tracer.span("pass")(w.pass())(p => Seq("wall_s" -> p.wallS, "cpu_s" -> p.cpuS))
+        lastFullS = (System.nanoTime() - t0) / 1e9
+      }
       val stealS = (Probe.stealTicks() - steal0) / 100.0
       val attempted = passes.map(_.ops).sum
       val failed = passes.map(_.failed).sum
@@ -83,6 +96,16 @@ object Main {
           f"steal $stealS%.2f s, passes ${passes.map(p => f"${p.wallS}%.3f").mkString(" ")}")
       tracer.flush(work.resolve(s"trace-$name-$seed.jsonl"))
       println(Json.result(correct = true, attempted, failed, metrics))
-    } finally w.close()
+      true
+    } catch { case e: Throwable =>
+      Console.err.println(s"[tinbench] $name seed=$seed failed, no result:")
+      e.printStackTrace()
+      false
+    } finally
+      try w.close()
+      catch { case e: Exception => Console.err.println(s"[tinbench] close failed: $e") }
+    // Exit now: a thread a library left running must not hold the JVM open.
+    System.out.flush()
+    sys.exit(if (ok) 0 else 1)
   }
 }

@@ -27,8 +27,9 @@ object Probe {
         try {
           val s = Files.readString(t.resolve("schedstat"))
           out += t.getFileName.toString.toLong -> s.substring(0, s.indexOf(' ')).toLong
-        } catch { case _: java.io.IOException => () } // thread exited meanwhile
-      } finally it.close()
+        } catch { case _: Exception => () } // thread exited meanwhile
+      } catch { case _: java.io.UncheckedIOException => () }
+      finally it.close()
       out.result()
     }
 
@@ -38,7 +39,7 @@ object Probe {
   def isCompiler(tid: Long): Boolean = compilerTids.synchronized {
     compilerTids.getOrElseUpdate(tid,
       try Files.readString(taskDir.resolve(s"$tid/comm")).contains("CompilerThre")
-      catch { case _: java.io.IOException => false })
+      catch { case _: Exception => false })
   }
 
   /** Process CPU time in ns, from the MXBean (10 ms ticks). */

@@ -82,7 +82,8 @@ object SparkWorkloads {
   val AlertThreshold = 300.0
   val MicroBatches = 8
   val PipelineWarmUp = 3
-  val ReplayWarmUp = 5
+  /** Runs of the replay stage per pass after the pipeline's own. */
+  val ReplayRepeats = 3
 
   /** 12 k vertices, 45.5 k interactions, quantities uniform in 1–68. */
   val profile: TinGen.Profile =
@@ -172,7 +173,12 @@ object SparkWorkloads {
   }
 
   /** spark-pipeline: generate → collect → label propagation → FIFO per
-    * component → five queries. One pass is one operation.
+    * component → five queries, then `ReplayRepeats` more runs of the
+    * replay stage on the same tagged frame, after the timed part. The
+    * stage runs about 0.3 s, too short for one reading of its rate to
+    * be steady: `replay_int_per_s` is the geometric mean over all its
+    * runs in the pass. The pipeline and each extra replay are one
+    * operation each.
     */
   private final class Pipeline(seed: Long, work: Path, traced: Boolean, tracer: Tracer)
       extends SparkWorkload(work) {
@@ -182,17 +188,26 @@ object SparkWorkloads {
     def setup(): Unit = {
       startSpark()
       spark.sparkContext.addSparkListener(counts)
-      warmUp(PipelineWarmUp)
-      // The replay stage runs once per pass, too rarely for the JIT to
-      // finish with it in the warm-up passes: some JVMs still ran it 25 %
-      // slower in the timed passes. Warm it up on its own as well.
-      val tagged = DistributedProvenance.tag(spark, TinGen.generate(spark, profile, Components, seed)
-        .drop("component")).toDF().localCheckpoint()
-      (1 to ReplayWarmUp).foreach(_ => replay(tagged))
+      // The replay stage runs 1 + ReplayRepeats times per pass, so the
+      // warm-up passes warm it up too (run once per pass, it still ran
+      // 25 % slower in some JVMs' timed passes after three).
+      warmUp(PipelineWarmUp, checked = false)
     }
 
     private def replay(tagged: DataFrame): DataFrame =
       DistributedProvenance.run(spark, tagged, EngineRegistry.fifo).toDF().localCheckpoint()
+
+    /** A replay stage's output against the reference: one engine per
+      * component, Σ per vertex = |B_v|, Σ per origin = generated.
+      */
+    private def checkReplay(prov: DataFrame, engines: Int, components: Int,
+                            ref: Reference): Option[String] = {
+      val rows = prov.select("vertex", "origin", "quantity").collect()
+      Option.when(engines != components)(s"$engines engines for $components components")
+        .orElse(Checks.perVertex(rows.iterator.map(r => r.getLong(0) -> r.getDouble(2)), ref))
+        .orElse(Checks.perOrigin(rows.iterator.map(r => r.getLong(1) -> r.getDouble(2)), ref,
+                                 Expect.Exact))
+    }
 
     def pass(): PassResult = {
       passNo += 1
@@ -220,6 +235,14 @@ object SparkWorkloads {
       val m1 = Probe.mark()
       val peak = EngineRegistry.peakBytesSum
       val engines = EngineRegistry.count
+      val repeats = (1 to ReplayRepeats).map { i =>
+        EngineRegistry.clear()
+        val g = s"dist.replay.$i#$passNo"
+        spark.sparkContext.setJobGroup(g, "dist.replay")
+        val out = replay(tagged)
+        spark.sparkContext.clearJobGroup()
+        (g, out, EngineRegistry.count)
+      }
 
       val failures = new Workload.Failures(checking)
       val ref = new Reference(rs)
@@ -231,13 +254,12 @@ object SparkWorkloads {
         val byGen = tin.select("id", "component").collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
         Checks.samePartition(byLabel, byRoot).orElse(Checks.refines(byRoot, byGen))
       }
-      failures.check("replay") {
-        val components = byLabel.valuesIterator.toSet.size
-        val rows = prov.select("vertex", "origin", "quantity").collect()
-        Option.when(engines != components)(s"$engines engines for $components components")
-          .orElse(Checks.perVertex(rows.iterator.map(r => r.getLong(0) -> r.getDouble(2)), ref))
-          .orElse(Checks.perOrigin(rows.iterator.map(r => r.getLong(1) -> r.getDouble(2)), ref,
-                                   Expect.Exact))
+      val components = byLabel.valuesIterator.toSet.size
+      failures.check("replay")(checkReplay(prov, engines, components, ref))
+      val repeatFailures = repeats.count { case (g, out, n) =>
+        val f = new Workload.Failures(checking)
+        f.check(g.takeWhile(_ != '#'))(checkReplay(out, n, components, ref))
+        f.count > 0
       }
       failures.check("totals_by_origin") {
         val got = results.head._2.map(r => r.getLong(0) -> r.getDouble(1)).toMap
@@ -254,6 +276,7 @@ object SparkWorkloads {
       }
 
       val rp = counts.await(spark, s"dist.replay#$passNo")
+      val replayCpuNs = rp.cpuNs +: repeats.map { case (g, _, _) => counts.await(spark, g).cpuNs }
       if (traced) {
         val cc = counts.await(spark, s"dist.cc#$passNo")
         val listened = Seq(
@@ -265,8 +288,9 @@ object SparkWorkloads {
         layers ++= listened
       }
       PassResult(m0.wallS(m1), m0.cpuS(m1), m0.allocTo(m1), m0.gcS(m1), m0.jitS(m1), rs.length.toLong,
-                 Seq(rs.length / (rp.cpuNs / 1e9)), Seq(peak.toDouble), 1,
-                 if (failures.count > 0) 1 else 0, layers.toSeq)
+                 replayCpuNs.map(ns => rs.length / (ns / 1e9)), Seq(peak.toDouble),
+                 1 + ReplayRepeats, (if (failures.count > 0) 1 else 0) + repeatFailures,
+                 layers.toSeq)
     }
   }
 
@@ -295,7 +319,7 @@ object SparkWorkloads {
       val batchEngine = new OrderedEngine(Policy.Fifo).processAll(rs)
       expected = Checks.byPair(batchEngine.snapshot())
       componentOf = tagged.iterator.flatMap(r => Iterator(r.src -> r.component, r.dst -> r.component)).toMap
-      warmUp(1)
+      warmUp(1, checked = false)
     }
 
     def pass(): PassResult = {

@@ -33,10 +33,16 @@ final case class PassResult(
 trait Workload {
   def setup(): Unit
   def pass(): PassResult
-  /** False while warming up: warm-up passes are not checked. */
+  /** False while warming up without checks. */
   protected var checking = true
-  protected def warmUp(passes: Int): Unit = {
-    checking = false
+  /** Untimed passes. With `checked`, their output checks run too (a
+    * failure is printed, not counted), so that the checks' code has
+    * already been compiled, and has left its mark on the type profiles
+    * of the library code it shares with the program, before the first
+    * timed pass.
+    */
+  protected def warmUp(passes: Int, checked: Boolean): Unit = {
+    checking = checked
     try (1 to passes).foreach(_ => pass()) finally checking = true
   }
   def close(): Unit = ()
