@@ -1,14 +1,13 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** §5.3.2 — budget-based proportional provenance.
   *
-  * Sparse per-vertex lists capped at `capacity` (C) entries. When a merge
-  * pushes a list past C, it is *shrunk*: the `⌈f·C⌉` non-α entries with
-  * the largest quantities are kept and the removed mass is folded into
-  * the artificial-origin entry `(α, ·)` (α = −1, "unknown source"), as in
-  * the paper's worked example (C = 5, f = 0.6). Space is O(|V|·C).
+  * Sparse per-vertex lists (the [[SparseLists]] kernel) capped at
+  * `capacity` (C) entries. When a merge pushes a list past C, it is
+  * *shrunk*: the `⌈f·C⌉` non-α entries with the largest quantities are
+  * kept and the removed mass is folded into the artificial-origin entry
+  * `(α, ·)` (α = −1, "unknown source"), as in the paper's worked example
+  * (C = 5, f = 0.6). Space is O(|V|·C).
   *
   * Shrink statistics (Table 9) are tracked per vertex: how many times
   * each buffer shrank and which buffers shrank at least once.
@@ -20,97 +19,44 @@ final class BudgetProvenance(
 ) extends ProvenanceEngine {
   require(capacity >= 2, "capacity must fit at least one entry plus α")
   require(keepFraction > 0 && keepFraction < 1, "keepFraction in (0,1)")
-  private val Eps = ProvenanceEngine.Eps
 
   /** Artificial origin standing for discarded provenance mass. */
   val Alpha: Long = -1L
 
   val memory = new MemoryModel(budgetBytes)
-  private val p = mutable.LongMap.empty[mutable.LongMap[Double]]
-  private val totals = mutable.LongMap.empty[Double]
-  private val shrinkCount = mutable.LongMap.empty[Long]
-
-  private def put(list: mutable.LongMap[Double], o: Long, q: Double): Unit = {
-    val had = list.contains(o)
-    if (q > Eps) {
-      if (!had) memory.charge(MemoryModel.PairBytes)
-      list(o) = q
-    } else if (had) {
-      list.remove(o); memory.charge(-MemoryModel.PairBytes)
-    }
-  }
-
-  /** Enforce the capacity constraint on `v`'s list, shrinking if needed. */
-  private def enforce(v: Long): Unit = {
-    val list = p.getOrElse(v, null)
-    if (list == null || list.size <= capacity) return
-    val keep = math.ceil(keepFraction * capacity).toInt
-    val nonAlpha = list.iterator.filter(_._1 != Alpha).toArray
-    // Keep the largest-quantity entries (ties by origin id for determinism).
-    val sorted = nonAlpha.sortBy { case (o, q) => (-q, o) }
-    val dropped = sorted.drop(keep)
-    val removedMass = dropped.iterator.map(_._2).sum
-    dropped.foreach { case (o, _) =>
-      list.remove(o); memory.charge(-MemoryModel.PairBytes)
-    }
-    put(list, Alpha, list.getOrElse(Alpha, 0.0) + removedMass)
-    shrinkCount(v) = shrinkCount.getOrElse(v, 0L) + 1
-  }
+  private val lists = new SparseLists(memory)
+  private val keep = math.ceil(keepFraction * capacity).toInt
 
   override def process(r: Interaction): Unit = {
-    val bs = totals.getOrElse(r.s, 0.0)
-    val pd = p.getOrElseUpdate(r.d, mutable.LongMap.empty)
-    if (r.q >= bs - Eps) {
-      p.get(r.s).foreach { ps =>
-        ps.foreach { case (o, q) => put(pd, o, pd.getOrElse(o, 0.0) + q) }
-        memory.charge(-ps.size.toLong * MemoryModel.PairBytes)
-        ps.clear()
-      }
-      val born = math.max(0.0, r.q - bs)
-      if (born > Eps) put(pd, r.s, pd.getOrElse(r.s, 0.0) + born)
-      totals(r.s) = 0.0
-    } else {
-      val frac = r.q / bs
-      val ps = p.getOrElseUpdate(r.s, mutable.LongMap.empty)
-      ps.toArray.foreach { case (o, q) =>
-        val m = q * frac
-        put(pd, o, pd.getOrElse(o, 0.0) + m)
-        put(ps, o, q - m)
-      }
-      totals(r.s) = bs - r.q
-    }
-    totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
-    enforce(r.d)
+    lists.relay(r.s, r.d, r.q)
+    if (lists.size(r.d) > capacity) lists.shrink(r.d, keep, Alpha)
   }
 
-  override def bufferTotal(v: Long): Double = totals.getOrElse(v, 0.0)
+  override def bufferTotal(v: Long): Double = lists.total(v)
 
-  override def provenance(v: Long): Seq[ProvEntry] =
-    p.get(v)
-      .map(_.iterator.map { case (o, q) => ProvEntry(o, q) }.toVector.sortBy(_.origin))
-      .getOrElse(Nil)
+  override def provenance(v: Long): Seq[ProvEntry] = lists.provenance(v)
 
-  override def vertices: Iterator[Long] =
-    totals.iterator.collect { case (v, q) if q > Eps => v }
+  override def vertices: Iterator[Long] = lists.vertices
+
+  /** Live (origin, quantity) entries across all lists. */
+  def liveEntries: Long = lists.live
+
+  /** `f` of the shrink counts of the non-empty buffers, over their number. */
+  private def perNonEmpty(f: Vector[Long] => Double): Double = {
+    val shrinks = vertices.map(lists.shrinksOf).toVector
+    if (shrinks.isEmpty) 0.0 else f(shrinks) / shrinks.size
+  }
 
   /** Table 9, column "avg. shrinks": mean shrink count over vertices with
     * a non-empty buffer at the end of the run.
     */
-  def avgShrinks: Double = {
-    val nonEmpty = vertices.toVector
-    if (nonEmpty.isEmpty) 0.0
-    else nonEmpty.map(v => shrinkCount.getOrElse(v, 0L)).sum.toDouble / nonEmpty.size
-  }
+  def avgShrinks: Double = perNonEmpty(_.sum.toDouble)
 
   /** Table 9, column "% vertices": share of non-empty buffers shrunk at
     * least once, in percent.
     */
-  def pctVerticesShrunk: Double = {
-    val nonEmpty = vertices.toVector
-    if (nonEmpty.isEmpty) 0.0
-    else 100.0 * nonEmpty.count(v => shrinkCount.getOrElse(v, 0L) > 0) / nonEmpty.size
-  }
+  def pctVerticesShrunk: Double = perNonEmpty(100.0 * _.count(_ > 0))
 
   /** Direct lookup used by tests. */
-  def shrinksOf(v: Long): Long = shrinkCount.getOrElse(v, 0L)
+  def shrinksOf(v: Long): Long = lists.shrinksOf(v)
 }

@@ -94,17 +94,23 @@ final class OrderedEngine(
     }
   }
 
-  private def bufOf(v: Long): Buf =
-    buffers.getOrElseUpdate(
-      v,
-      if (withBirth) new HeapBuf(policy)
-      else new DequeBuf(policy == Policy.Lifo, consolidate, discard),
-    )
+  private def bufOf(v: Long): Buf = {
+    var b = buffers.getOrNull(v)
+    if (b == null) {
+      b = if (withBirth) new HeapBuf(policy)
+          else new DequeBuf(policy == Policy.Lifo, consolidate, discard)
+      buffers.update(v, b)
+    }
+    b
+  }
+
+  /** Elements selected by the current interaction, in selection order. */
+  private val moved = mutable.ArrayBuffer.empty[Elem]
 
   override def process(r: Interaction): Unit = {
     var resq = r.q
-    val src = buffers.get(r.s).orNull
-    val moved = mutable.ArrayBuffer.empty[Elem]
+    val src = buffers.getOrNull(r.s)
+    moved.clear()
     if (src != null) {
       while (resq > Eps && src.nonEmpty) {
         val tau = src.peek
@@ -120,7 +126,12 @@ final class OrderedEngine(
       }
       if (resq < Eps) resq = 0.0
     }
-    if (trackPaths) moved.foreach { e => e.path = r.s :: e.path; e.hops += 1; chargePath(1L) }
+    if (trackPaths) {
+      var i = 0
+      while (i < moved.length) {
+        val e = moved(i); e.path = r.s :: e.path; e.hops += 1; chargePath(1L); i += 1
+      }
+    }
     val dst = bufOf(r.d)
     dst.receive(moved)
     if (resq > Eps) { // newborn quantity at the source (Alg. 2 lines 18–21)
@@ -227,27 +238,35 @@ object OrderedEngine {
     /** Remove the element returned by [[peek]]. */
     def pop(): Unit
     /** Add a transferred chunk, given in selection (pop) order. */
-    def receive(chunk: collection.Seq[Elem]): Unit
+    def receive(chunk: collection.IndexedSeq[Elem]): Unit
     /** Add a newborn element (after the chunk). */
     def receiveNewborn(e: Elem): Unit
     /** All elements in the buffer's canonical display order. */
     def elements: Seq[Elem]
   }
 
+  /** Birth time, then creation sequence, compared as primitives. */
+  private val byBirth: Ordering[Elem] = new Ordering[Elem] {
+    def compare(a: Elem, b: Elem): Int = {
+      val c = java.lang.Long.compare(a.birth, b.birth)
+      if (c != 0) c else java.lang.Long.compare(a.seq, b.seq)
+    }
+  }
+
   /** §4.1 — heap keyed on birth time. */
   private final class HeapBuf(policy: Policy) extends Buf {
-    private val ord: Ordering[Elem] = {
-      val byBirth = Ordering.by((e: Elem) => (e.birth, e.seq))
-      // mutable.PriorityQueue dequeues the maximum; LRB needs the minimum.
-      if (policy == Policy.LeastRecentlyBorn) byBirth.reverse else byBirth
-    }
-    private val h = mutable.PriorityQueue.empty[Elem](ord)
+    // mutable.PriorityQueue dequeues the maximum; LRB needs the minimum.
+    private val h = mutable.PriorityQueue.empty[Elem](
+      if (policy == Policy.LeastRecentlyBorn) byBirth.reverse else byBirth)
     def nonEmpty: Boolean = h.nonEmpty
     def peek: Elem = h.head
     def pop(): Unit = { h.dequeue(); () }
-    def receive(chunk: collection.Seq[Elem]): Unit = chunk.foreach(h.enqueue(_))
-    def receiveNewborn(e: Elem): Unit = h.enqueue(e)
-    def elements: Seq[Elem] = h.toSeq.sortBy(e => (e.birth, e.seq))
+    def receive(chunk: collection.IndexedSeq[Elem]): Unit = {
+      var i = 0
+      while (i < chunk.length) { h += chunk(i); i += 1 }
+    }
+    def receiveNewborn(e: Elem): Unit = h += e
+    def elements: Seq[Elem] = h.toSeq.sorted(byBirth)
   }
 
   /** §4.2 — FIFO queue (`lifoMode = false`) or LIFO stack. With
@@ -274,9 +293,12 @@ object OrderedEngine {
         }
       } else d.append(e)
     }
-    def receive(chunk: collection.Seq[Elem]): Unit =
-      if (lifoMode) chunk.reverseIterator.foreach(insert) // keep source orientation
-      else chunk.foreach(insert)
+    def receive(chunk: collection.IndexedSeq[Elem]): Unit = {
+      var i = 0
+      while (i < chunk.length) { // LIFO keeps the source orientation
+        insert(if (lifoMode) chunk(chunk.length - 1 - i) else chunk(i)); i += 1
+      }
+    }
     def receiveNewborn(e: Elem): Unit = insert(e)
     def elements: Seq[Elem] = d.toSeq // head→tail == queue order / stack bottom→top
   }

@@ -34,8 +34,10 @@ abstract class ProjectedProportional(
 
   override def process(r: Interaction): Unit = {
     val bs = totals.getOrElse(r.s, 0.0)
-    val pd = row(r.d)
-    if (r.q >= bs - Eps) {
+    if (r.s == r.d) { // self-loop: nothing is relayed, only the shortfall is born
+      if (r.q > bs) { row(r.s)(slotOf(r.s)) += r.q - bs; totals(r.s) = r.q }
+    } else if (r.q >= bs - Eps) {
+      val pd = row(r.d)
       p.get(r.s).foreach { ps =>
         var i = 0
         while (i < numSlots) { pd(i) += ps(i); ps(i) = 0.0; i += 1 }
@@ -45,6 +47,7 @@ abstract class ProjectedProportional(
       totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
     } else {
       val frac = r.q / bs
+      val pd = row(r.d)
       val ps = row(r.s)
       var i = 0
       while (i < numSlots) {

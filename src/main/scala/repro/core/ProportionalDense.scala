@@ -6,7 +6,8 @@ package repro.core
   * fragment of `B_v` that originates from vertex `i`. A transfer of
   * `r.q < |B_{r.s}|` moves the fraction `r.q / |B_{r.s}|` of *every*
   * position (lines 9–10); a transfer of `r.q ≥ |B_{r.s}|` moves the whole
-  * vector plus a newborn fragment at position `r.s` (line 6).
+  * vector plus a newborn fragment at position `r.s` (line 6). A self-loop
+  * relays nothing; only the shortfall `r.q − |B_{r.s}|` is born.
   *
   * Vertices must be labelled `0 … numVertices−1` (our generators and the
   * distributed layer guarantee this; arbitrary ids can be dictionary-
@@ -40,7 +41,9 @@ final class ProportionalDense(
   override def process(r: Interaction): Unit = {
     val s = r.s.toInt; val d = r.d.toInt
     val bs = totals(s)
-    if (r.q >= bs - Eps) { // relay the whole source buffer + newborn rest
+    if (s == d) { // self-loop: nothing is relayed, only the shortfall is born
+      if (r.q > bs) { row(s)(s) += r.q - bs; totals(s) = r.q }
+    } else if (r.q >= bs - Eps) { // relay the whole source buffer + newborn rest
       val pd = row(d)
       val ps = p(s)
       if (ps != null) {

@@ -1,103 +1,43 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Algorithm 3 with sparse (list) provenance-vector representations
   * (§4.3, "Sparse vector representations").
   *
-  * Each `p_v` is stored as a map origin → quantity holding only the
-  * non-zero fragments; vector-wise ⊕/⊖ become merges of these maps.
-  * Space is O(|V|·ℓ) and time O(|R|·ℓ) where ℓ is the mean list length —
-  * which, as §7.2 shows, grows unboundedly on large mixed networks; the
-  * [[MemoryModel]] budget reproduces the resulting "—" cells.
+  * Each `p_v` is a list of only its non-zero fragments, sorted by origin
+  * (the [[SparseLists]] kernel); vector-wise ⊕/⊖ become linear merges of
+  * these lists. Space is O(|V|·ℓ) and time O(|R|·ℓ) where ℓ is the mean
+  * list length — which, as §7.2 shows, grows unboundedly on large mixed
+  * networks; the [[MemoryModel]] budget reproduces the resulting "—" cells.
   */
 final class ProportionalSparse(
     budgetBytes: Long = MemoryModel.Unbounded,
 ) extends ProvenanceEngine {
-  private val Eps = ProvenanceEngine.Eps
-
   val memory = new MemoryModel(budgetBytes)
-  private val p = mutable.LongMap.empty[mutable.LongMap[Double]]
-  private val totals = mutable.LongMap.empty[Double]
-  private var entries = 0L
-  private var entriesPeak = 0L
+  private val lists = new SparseLists(memory)
 
-  private def listOf(v: Long): mutable.LongMap[Double] =
-    p.getOrElseUpdate(v, mutable.LongMap.empty[Double])
+  override def process(r: Interaction): Unit = lists.relay(r.s, r.d, r.q)
 
-  private def put(list: mutable.LongMap[Double], origin: Long, q: Double): Unit = {
-    val had = list.contains(origin)
-    if (q > Eps) {
-      if (!had) {
-        memory.charge(MemoryModel.PairBytes)
-        entries += 1
-        if (entries > entriesPeak) entriesPeak = entries
-      }
-      list(origin) = q
-    } else if (had) {
-      list.remove(origin)
-      memory.charge(-MemoryModel.PairBytes)
-      entries -= 1
-    }
-  }
+  override def bufferTotal(v: Long): Double = lists.total(v)
 
-  override def process(r: Interaction): Unit = {
-    val bs = totals.getOrElse(r.s, 0.0)
-    val pd = listOf(r.d)
-    if (r.q >= bs - Eps) { // move the whole source list + newborn rest
-      p.get(r.s).foreach { ps =>
-        ps.foreach { case (o, q) => put(pd, o, pd.getOrElse(o, 0.0) + q) }
-        val removed = ps.size
-        ps.clear()
-        memory.charge(-removed.toLong * MemoryModel.PairBytes)
-        entries -= removed
-      }
-      val born = math.max(0.0, r.q - bs)
-      if (born > Eps) put(pd, r.s, pd.getOrElse(r.s, 0.0) + born)
-      totals(r.s) = 0.0
-      totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
-    } else { // proportional split of every fragment
-      val frac = r.q / bs
-      val ps = listOf(r.s)
-      // Materialise keys first: `put` may remove sub-Eps source fragments.
-      ps.toArray.foreach { case (o, q) =>
-        val m = q * frac
-        put(pd, o, pd.getOrElse(o, 0.0) + m)
-        put(ps, o, q - m)
-      }
-      totals(r.s) = bs - r.q
-      totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
-    }
-  }
-
-  override def bufferTotal(v: Long): Double = totals.getOrElse(v, 0.0)
-
-  /** Unsorted view of `v`'s provenance list — O(1) to obtain, for hot
-    * loops (e.g. the §7.6 alert scan) that only need to iterate.
+  /** `v`'s provenance list as (origin, quantity) pairs, in origin order,
+    * without building [[ProvEntry]] values — for hot loops (e.g. the §7.6
+    * alert scan) that only need to iterate.
     */
-  def provenanceUnsorted(v: Long): Iterator[(Long, Double)] =
-    p.get(v).map(_.iterator).getOrElse(Iterator.empty)
+  def provenanceUnsorted(v: Long): Iterator[(Long, Double)] = lists.pairs(v)
 
   /** Number of (origin, quantity) entries at `v` without materialising. */
-  def listSize(v: Long): Int = p.get(v).map(_.size).getOrElse(0)
+  def listSize(v: Long): Int = lists.size(v)
 
-  override def provenance(v: Long): Seq[ProvEntry] =
-    p.get(v)
-      .map(_.iterator.map { case (o, q) => ProvEntry(o, q) }.toVector.sortBy(_.origin))
-      .getOrElse(Nil)
+  override def provenance(v: Long): Seq[ProvEntry] = lists.provenance(v)
 
-  override def vertices: Iterator[Long] =
-    totals.iterator.collect { case (v, q) if q > Eps => v }
+  override def vertices: Iterator[Long] = lists.vertices
 
   /** Live (origin, quantity) entries across all lists. */
-  def liveEntries: Long = entries
+  def liveEntries: Long = lists.live
 
-  /** Peak entry count — drives the Table 8 "Proportional (sparse)" cell. */
-  def peakEntries: Long = entriesPeak
+  /** Peak entry count — drives Table 8's sparse cell; only entries are metered. */
+  def peakEntries: Long = memory.peakBytes / MemoryModel.PairBytes
 
   /** Mean list length ℓ over vertices with a non-empty list. */
-  def avgListLength: Double = {
-    val sizes = p.valuesIterator.map(_.size).filter(_ > 0).toVector
-    if (sizes.isEmpty) 0.0 else sizes.sum.toDouble / sizes.size
-  }
+  def avgListLength: Double = lists.avgListLength
 }

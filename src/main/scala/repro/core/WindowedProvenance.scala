@@ -1,11 +1,10 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** §5.3.1 — windowed proportional provenance.
   *
-  * Two sparse vector sets `p^odd` and `p^even` are maintained per vertex
-  * and both updated at every interaction. At every odd multiple of `W`
+  * Two sparse vector sets `p^odd` and `p^even` (two [[SparseLists]]
+  * stores metered by one [[MemoryModel]]) are maintained per vertex and
+  * both updated at every interaction. At every odd multiple of `W`
   * interactions all `p^odd` lists are reset to `[(α, |B_v|)]` (α = −1,
   * "unknown provenance"); at even multiples the `p^even` lists are.
   * Queries read whichever set was *least recently* reset, guaranteeing
@@ -17,89 +16,36 @@ final class WindowedProvenance(
     budgetBytes: Long = MemoryModel.Unbounded,
 ) extends ProvenanceEngine {
   require(window > 0, "window must be positive")
-  private val Eps = ProvenanceEngine.Eps
 
   /** Artificial origin standing for "the entire vertex set". */
   val Alpha: Long = -1L
 
   val memory = new MemoryModel(budgetBytes)
-  private val odd = mutable.LongMap.empty[mutable.LongMap[Double]]
-  private val even = mutable.LongMap.empty[mutable.LongMap[Double]]
-  private val totals = mutable.LongMap.empty[Double]
+  private val odd = new SparseLists(memory)
+  private val even = new SparseLists(memory)
   private var processed = 0L
   private var lastResetOdd = Long.MinValue
   private var lastResetEven = Long.MinValue
 
-  private def put(list: mutable.LongMap[Double], o: Long, q: Double): Unit = {
-    val had = list.contains(o)
-    if (q > Eps) {
-      if (!had) memory.charge(MemoryModel.PairBytes)
-      list(o) = q
-    } else if (had) {
-      list.remove(o); memory.charge(-MemoryModel.PairBytes)
-    }
-  }
-
-  private def applyTo(store: mutable.LongMap[mutable.LongMap[Double]], r: Interaction,
-                      bs: Double): Unit = {
-    val pd = store.getOrElseUpdate(r.d, mutable.LongMap.empty)
-    if (r.q >= bs - Eps) {
-      store.get(r.s).foreach { ps =>
-        ps.foreach { case (o, q) => put(pd, o, pd.getOrElse(o, 0.0) + q) }
-        memory.charge(-ps.size.toLong * MemoryModel.PairBytes)
-        ps.clear()
-      }
-      val born = math.max(0.0, r.q - bs)
-      if (born > Eps) put(pd, r.s, pd.getOrElse(r.s, 0.0) + born)
-    } else {
-      val frac = r.q / bs
-      val ps = store.getOrElseUpdate(r.s, mutable.LongMap.empty)
-      ps.toArray.foreach { case (o, q) =>
-        val m = q * frac
-        put(pd, o, pd.getOrElse(o, 0.0) + m)
-        put(ps, o, q - m)
-      }
-    }
-  }
-
-  private def reset(store: mutable.LongMap[mutable.LongMap[Double]]): Unit =
-    store.foreach { case (v, list) =>
-      memory.charge(-list.size.toLong * MemoryModel.PairBytes)
-      list.clear()
-      val bv = totals.getOrElse(v, 0.0)
-      if (bv > Eps) put(list, Alpha, bv)
-    }
-
   override def process(r: Interaction): Unit = {
-    val bs = totals.getOrElse(r.s, 0.0)
-    applyTo(odd, r, bs)
-    applyTo(even, r, bs)
-    totals(r.s) = bs - math.min(r.q, bs)
-    totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
+    odd.relay(r.s, r.d, r.q)
+    even.relay(r.s, r.d, r.q)
     processed += 1
     if (processed % window == 0) {
-      val multiple = processed / window
-      if (multiple % 2 == 1) { reset(odd); lastResetOdd = processed }
-      else { reset(even); lastResetEven = processed }
+      if ((processed / window) % 2 == 1) { odd.resetAll(Alpha); lastResetOdd = processed }
+      else { even.resetAll(Alpha); lastResetEven = processed }
     }
   }
 
   /** The currently *usable* store: the one least recently reset. */
-  private def active: mutable.LongMap[mutable.LongMap[Double]] =
-    if (lastResetOdd <= lastResetEven) odd else even
+  private def active: SparseLists = if (lastResetOdd <= lastResetEven) odd else even
 
-  override def bufferTotal(v: Long): Double = totals.getOrElse(v, 0.0)
+  override def bufferTotal(v: Long): Double = odd.total(v)
 
-  override def provenance(v: Long): Seq[ProvEntry] =
-    active
-      .get(v)
-      .map(_.iterator.map { case (o, q) => ProvEntry(o, q) }.toVector.sortBy(_.origin))
-      .getOrElse(Nil)
+  override def provenance(v: Long): Seq[ProvEntry] = active.provenance(v)
 
-  override def vertices: Iterator[Long] =
-    totals.iterator.collect { case (v, q) if q > Eps => v }
+  override def vertices: Iterator[Long] = odd.vertices
 
   /** Live entries summed over both stores (the space actually held). */
-  def liveEntries: Long =
-    (odd.valuesIterator.map(_.size.toLong) ++ even.valuesIterator.map(_.size.toLong)).sum
+  def liveEntries: Long = odd.live + even.live
 }

@@ -5,10 +5,12 @@ object TestTins {
 
   /** `n` interactions among `nV` vertices, quantities in (0, maxQ].
     * `intQ = true` draws integer quantities (exact arithmetic, no float
-    * tolerance needed for the ordered policies).
+    * tolerance needed for the ordered policies). A share `selfLoopFrac`
+    * of the interactions are self-loops `s → s`; at 0 no extra draw is
+    * made, so the stream is the same as without the parameter.
     */
   def random(seed: Long, nV: Int, n: Int, maxQ: Double = 10.0,
-             intQ: Boolean = false): Vector[Interaction] = {
+             intQ: Boolean = false, selfLoopFrac: Double = 0.0): Vector[Interaction] = {
     val rnd = new java.util.Random(seed)
     Vector.tabulate(n) { i =>
       val s = rnd.nextInt(nV)
@@ -17,6 +19,7 @@ object TestTins {
       val q =
         if (intQ) (rnd.nextInt(maxQ.toInt.max(1)) + 1).toDouble
         else rnd.nextDouble() * maxQ + 1e-6
+      if (selfLoopFrac > 0 && rnd.nextDouble() < selfLoopFrac) d = s
       Interaction(s.toLong, d.toLong, i.toLong, q, i.toLong)
     }
   }
@@ -41,7 +44,10 @@ object TestTins {
     }
   }
 
-  /** All seven bench policy engines (dense sized for vertices 0..nV-1). */
+  /** Fresh instances of all 11 paper systems (dense sized for vertices
+    * 0..nV-1; small selective, grouped, budget and window parameters, so
+    * that α slots, shrinks and resets all occur).
+    */
   def allEngines(nV: Int): Seq[(String, ProvenanceEngine)] = Seq(
     "NoProv" -> new NoProv(),
     "LRB" -> new OrderedEngine(Policy.LeastRecentlyBorn),
@@ -50,5 +56,31 @@ object TestTins {
     "FIFO" -> new OrderedEngine(Policy.Fifo),
     "PropDense" -> new ProportionalDense(nV),
     "PropSparse" -> new ProportionalSparse(),
+    "Selective" -> new SelectiveProvenance(Seq(0L, 1L)),
+    "Grouped" -> new GroupedProvenance(3, v => (v % 3).toInt),
+    "Budget" -> new BudgetProvenance(capacity = 3),
+    "Windowed" -> new WindowedProvenance(window = 25),
   )
+
+  /** Replays `rs` on `e` and checks the mass ledger against Alg. 1
+    * ([[NoProv]]): per vertex Σ provenance = |B_v| = NoProv's buffer, and
+    * Σ generated = Σ_v |B_v| = Σ provenance over the whole snapshot.
+    */
+  def massLedger(e: ProvenanceEngine, rs: Seq[Interaction], hint: String = ""): Unit = {
+    val ref = new NoProv(); ref.processAll(rs)
+    e.processAll(rs)
+    val tol = 1e-9 * math.max(1.0, rs.map(_.q).sum)
+    val vs = rs.flatMap(r => Seq(r.s, r.d)).distinct
+    vs.foreach { v =>
+      val prov = e.provenance(v).map(_.quantity).sum
+      assert(math.abs(prov - e.bufferTotal(v)) <= tol &&
+               math.abs(e.bufferTotal(v) - ref.bufferTotal(v)) <= tol,
+             s"$hint v$v: Σprov $prov, |B_v| ${e.bufferTotal(v)}, NoProv ${ref.bufferTotal(v)}")
+    }
+    val generated = vs.map(ref.generatedBy).sum
+    val buffered = vs.map(e.bufferTotal).sum
+    val provenance = e.snapshot().map(_._2.quantity).sum
+    assert(math.abs(generated - buffered) <= tol && math.abs(buffered - provenance) <= tol,
+           s"$hint generated $generated, buffered $buffered, provenance $provenance")
+  }
 }
