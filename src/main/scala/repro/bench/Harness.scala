@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.core._
-import repro.tin.TinGen
 
 /** Shared benchmark harness behind the Table 6–10 bench suites and the
   * spark-submit jobs: runs one selection policy over one dataset's
@@ -94,50 +93,5 @@ object Harness {
     sb.append("|").append(header.map(_ => "---").mkString("|")).append("|\n")
     rows.foreach(r => sb.append("| ").append(r.mkString(" | ")).append(" |\n"))
     sb.toString
-  }
-
-  /** Materialise a profile's interaction stream without a SparkSession —
-    * a seeded local mirror of [[TinGen.generate]] used where benches
-    * measure pure engine cost. Spark-generated and local streams are
-    * checked equivalent in distribution by the TinGen test suite.
-    */
-  def localInteractions(profile: TinGen.Profile, seed: Long = 42L): Array[Interaction] = {
-    val rnd = new java.util.Random(seed)
-    val n = profile.interactions.toInt
-    val v = profile.vertices
-    val halfV = v / 2
-    def endpoint(lo: Int, size: Int): Int =
-      lo + (if (rnd.nextDouble() < profile.uniformMix) rnd.nextInt(size)
-            else zipfDraw(rnd, size, profile.skewAlpha))
-    val out = new Array[Interaction](n)
-    var i = 0
-    while (i < n) {
-      val disjoint = rnd.nextDouble() < profile.disjointFrac
-      val src = if (disjoint) endpoint(0, halfV) else endpoint(0, v)
-      var dst = if (disjoint) endpoint(halfV, v - halfV) else endpoint(0, v)
-      if (dst == src) dst = (dst + 1) % v
-      val q = profile.qty match {
-        case TinGen.Exponential(mean)  => -mean * math.log(1.0 - rnd.nextDouble())
-        case TinGen.Uniform(lo, hi)    => lo + rnd.nextDouble() * (hi - lo)
-        case TinGen.UniformInt(lo, hi) => (lo + rnd.nextInt(hi - lo + 1)).toDouble
-        case TinGen.Passengers =>
-          val u = rnd.nextDouble()
-          if (u < 0.70) 1.0
-          else if (u < 0.85) 2.0
-          else if (u < 0.92) 3.0
-          else if (u < 0.96) 4.0
-          else if (u < 0.98) 5.0
-          else 6.0
-      }
-      out(i) = Interaction(src.toLong, dst.toLong, i.toLong, q, i.toLong)
-      i += 1
-    }
-    out
-  }
-
-  private def zipfDraw(rnd: java.util.Random, n: Int, alpha: Double): Int = {
-    val u = rnd.nextDouble() + 1e-9
-    val k = math.pow(1.0 / u, 1.0 / alpha) - 1.0
-    math.min(n - 1L, math.max(0L, k.toLong)).toInt
   }
 }

@@ -13,7 +13,7 @@ object Tables {
 
   /** Datasets of the Tables 7–10 runs, materialised once per JVM. */
   lazy val streams: Map[String, Array[Interaction]] =
-    TinGen.all.map(p => p.name -> Harness.localInteractions(p)).toMap
+    TinGen.all.map(p => p.name -> TinGen.local(p)).toMap
 
   private def profile(name: String) = TinGen.byName(name)
 

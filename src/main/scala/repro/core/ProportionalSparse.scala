@@ -25,9 +25,6 @@ final class ProportionalSparse(
     */
   def provenanceUnsorted(v: Long): Iterator[(Long, Double)] = lists.pairs(v)
 
-  /** Number of (origin, quantity) entries at `v` without materialising. */
-  def listSize(v: Long): Int = lists.size(v)
-
   override def provenance(v: Long): Seq[ProvEntry] = lists.provenance(v)
 
   override def vertices: Iterator[Long] = lists.vertices

@@ -13,12 +13,13 @@ import org.apache.spark.sql.functions._
   * is cut with `localCheckpoint` each round so plans stay flat.
   */
 object ConnectedComponents {
+  private final val MaxIters = 100 // a run that reaches it fails the `require`
 
   /** @param edges DataFrame with `src`/`dst` columns
     * @return DataFrame `(vertex, component)` — component = min vertex id
     *         of the weakly-connected component
     */
-  def weakly(spark: SparkSession, edges: DataFrame, maxIters: Int = 100): DataFrame = {
+  def weakly(spark: SparkSession, edges: DataFrame): DataFrame = {
     val sym = edges
       .select(col("src").as("u"), col("dst").as("v"))
       .union(edges.select(col("dst").as("u"), col("src").as("v")))
@@ -33,7 +34,7 @@ object ConnectedComponents {
 
     var iter = 0
     var converged = false
-    while (!converged && iter < maxIters) {
+    while (!converged && iter < MaxIters) {
       // message passing: every vertex receives its neighbours' labels …
       val msgs = sym
         .join(labels, sym("u") === labels("vertex"))
@@ -53,7 +54,7 @@ object ConnectedComponents {
       converged = changed == 0
       iter += 1
     }
-    require(converged, s"label propagation did not converge in $maxIters rounds")
+    require(converged, s"label propagation did not converge in $MaxIters rounds")
     labels
   }
 }

@@ -4,7 +4,9 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
-/** One interaction tagged with its weakly-connected component. */
+/** One interaction tagged with its component: a weakly-connected one, or
+  * the generator's sub-network (a row of [[repro.tin.TinGen.generate]]).
+  */
 final case class TaggedInteraction(id: Long, ts: Long, src: Long, dst: Long,
                                    qty: Double, component: Long)
 
@@ -29,8 +31,6 @@ object DistributedProvenance {
     * engines; all policy configuration is baked into the closure.
     */
   type EngineFactory = () => ProvenanceEngine
-
-  def engineFor(policy: Policy): EngineFactory = () => new OrderedEngine(policy)
 
   /** Tag interactions with their component via label propagation, unless
     * the frame already carries a `component` column.

@@ -1,9 +1,8 @@
 package repro.tin
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.core.Interaction
+import repro.dist.TaggedInteraction
 
 /** Deterministic synthetic TIN generators standing in for the five real
   * datasets of Table 6 (the dumps are not redistributable; see DESIGN.md
@@ -16,7 +15,9 @@ import repro.core.Interaction
   * contiguous in `[0, vertices)`), `qty`, `component` (independent
   * sub-network id — interactions never cross components, which gives the
   * distributed layer real parallelism; the single giant component of the
-  * real datasets is `nComponents = 1`).
+  * real datasets is `nComponents = 1`). Every row is a pure function of
+  * (profile, nComponents, seed, id), [[TinGen.row]], so the Spark frame
+  * and the local stream are the same rows under any partitioning.
   */
 object TinGen {
 
@@ -97,33 +98,58 @@ object TinGen {
   def byName(name: String): Profile =
     all.find(_.name == name).getOrElse(sys.error(s"unknown TIN profile: $name"))
 
-  /** Zipf-ish rank draw in [0, n): inverse-CDF over rank weights
-    * 1/k^alpha (same scheme as `SynthData.zipfKeys`); rank 0 is hottest.
-    */
-  private def zipfIdx(n: Int, alpha: Double, seed: Long) = {
-    least(
-      lit(n.toLong - 1),
-      greatest(
-        lit(0L),
-        (pow(lit(1.0) / (rand(seed) + 1e-9), lit(1.0 / alpha)) - 1.0).cast(LongType),
-      ),
-    )
+  /** SplitMix64's finaliser: a bijective 64-bit mix. */
+  private def mix(z0: Long): Long = {
+    var z = (z0 ^ (z0 >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
   }
 
-  private def qtyCol(dist: QtyDist, seed: Long) = dist match {
-    case Exponential(mean)  => -lit(mean) * log(lit(1.0) - rand(seed))
-    case Uniform(lo, hi)    => lit(lo) + rand(seed) * (hi - lo)
-    case UniformInt(lo, hi) =>
-      (lit(lo) + (rand(seed) * (hi - lo + 1)).cast(LongType)).cast("double")
-    case Passengers =>
-      // P(1..6) = .70/.15/.07/.04/.02/.02 → mean ≈ 1.59 (paper: 1.53)
-      val u = rand(seed)
-      when(u < 0.70, 1.0)
-        .when(u < 0.85, 2.0)
-        .when(u < 0.92, 3.0)
-        .when(u < 0.96, 4.0)
-        .when(u < 0.98, 5.0)
-        .otherwise(6.0)
+  private final val Gamma = 0x9e3779b97f4a7c15L
+
+  // Taxi party sizes 1..6: P = .70/.15/.07/.04/.02/.02 → mean ≈ 1.59 (paper: 1.53)
+  private val PassengerCdf = Array(0.70, 0.85, 0.92, 0.96, 0.98)
+
+  private def quantity(dist: QtyDist, u: Double): Double = dist match {
+    case Exponential(mean)  => -mean * math.log(1.0 - u)
+    case Uniform(lo, hi)    => lo + u * (hi - lo)
+    case UniformInt(lo, hi) => (lo + (u * (hi - lo + 1)).toLong).toDouble
+    case Passengers         => 1.0 + PassengerCdf.count(_ <= u)
+  }
+
+  /** Row `id` of a profile's stream — the one definition behind both
+    * [[generate]] and [[local]]. Interactions and vertex ranges are
+    * partitioned round-robin over `nComponents` disjoint sub-networks.
+    */
+  def row(profile: Profile, nComponents: Int, seed: Long, id: Long): TaggedInteraction = {
+    // uniform draw in [0, 1) for `column`: a pure function of (seed, id,
+    // column), so a row does not depend on which partition generates it or
+    // in which order (a counter-based generator, Salmon et al., "Parallel
+    // random numbers: as easy as 1, 2, 3", SC 2011)
+    val key = mix(mix(seed) + Gamma * (id + 1))
+    def u(column: Int) = (mix(key + Gamma * (column + 1)) >>> 11) * (1.0 / (1L << 53))
+    val vPerComp = profile.vertices / nComponents
+    // endpoint in [lo, lo + size): a uniform tail vertex, or a zipf-head hub
+    // by inverse-CDF over rank weights 1/k^alpha (rank 0 is hottest)
+    def endpoint(lo: Int, size: Int, column: Int): Long = lo + {
+      if (u(column) < profile.uniformMix) math.min(size - 1L, (u(column + 1) * size).toLong)
+      else {
+        val k = math.pow(1.0 / (u(column + 2) + 1e-9), 1.0 / profile.skewAlpha) - 1.0
+        math.min(size - 1L, math.max(0L, k.toLong))
+      }
+    }
+    // a disjoint interaction flows from the source half to the sink half
+    val disjoint = u(0) < profile.disjointFrac
+    val sinkLo = if (disjoint) vPerComp / 2 else 0
+    val src = endpoint(0, if (disjoint) sinkLo else vPerComp, 1)
+    val dst0 = endpoint(sinkLo, vPerComp - sinkLo, 4)
+    // self-loops transfer nothing: bump equal endpoints by one (mod n);
+    // the disjoint source/sink halves never collide by construction
+    val dst = if (dst0 == src) (dst0 + 1) % vPerComp else dst0
+    val component = id % nComponents
+    val offset = component * vPerComp
+    val qty = math.round(quantity(profile.qty, u(7)) * 1e6) / 1e6
+    TaggedInteraction(id, id, offset + src, offset + dst, qty, component)
   }
 
   /** Generate a profile's interaction stream.
@@ -137,48 +163,18 @@ object TinGen {
                seed: Long = 42L): DataFrame = {
     require(nComponents >= 1 && profile.vertices >= 4 * nComponents,
             s"need ≥4 vertices per component")
-    val vPerComp = profile.vertices / nComponents
-    val halfV = vPerComp / 2
-    val base = spark.range(profile.interactions).toDF("id")
-    val comp = (col("id") % nComponents).as("component")
-    val offset = col("component") * vPerComp
-
-    // endpoint = zipf-head hub or uniform tail vertex, within a range
-    def endpoint(lo: Int, size: Int, seed0: Long) = {
-      val uniform = least(lit(size.toLong - 1), (rand(seed0 + 10) * size).cast(LongType))
-      lit(lo.toLong) +
-        when(rand(seed0 + 20) < profile.uniformMix, uniform)
-          .otherwise(zipfIdx(size, profile.skewAlpha, seed0))
-    }
-
-    val isDisjoint = rand(seed + 30) < profile.disjointFrac
-    val srcRaw =
-      when(isDisjoint, endpoint(0, halfV, seed))
-        .otherwise(endpoint(0, vPerComp, seed))
-    val dstRaw =
-      when(isDisjoint, endpoint(halfV, vPerComp - halfV, seed + 1))
-        .otherwise(endpoint(0, vPerComp, seed + 1))
-    base
-      .withColumn("component", comp)
-      .withColumn("ts", col("id"))
-      .withColumn("srcRel", srcRaw)
-      .withColumn("dstRel0", dstRaw)
-      // self-loops transfer nothing: bump equal endpoints by one (mod n);
-      // the disjoint source/sink halves never collide by construction
-      .withColumn(
-        "dstRel",
-        when(col("dstRel0") === col("srcRel"), (col("dstRel0") + 1) % vPerComp)
-          .otherwise(col("dstRel0")),
-      )
-      .select(
-        col("id"),
-        col("ts"),
-        (offset + col("srcRel")).cast(LongType).as("src"),
-        (offset + col("dstRel")).cast(LongType).as("dst"),
-        round(qtyCol(profile.qty, seed + 2), 6).as("qty"),
-        col("component").cast(LongType).as("component"),
-      )
+    import spark.implicits._
+    spark.range(profile.interactions).map(id => row(profile, nComponents, seed, id)).toDF()
   }
+
+  /** A profile's single-component stream without a SparkSession, in
+    * stream order: the rows of `generate(spark, profile, 1, seed)`.
+    */
+  def local(profile: Profile, seed: Long = 42L): Array[Interaction] =
+    Array.tabulate(profile.interactions.toInt) { i =>
+      val r = row(profile, 1, seed, i)
+      Interaction(r.src, r.dst, r.ts, r.qty, r.id)
+    }
 
   /** Collect a generated TIN into the time-ordered interaction array the
     * sequential engines consume. Lite scales fit comfortably in memory.

@@ -2,10 +2,9 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.tin.TinGen
 
-/** Benchmark harness plumbing: engine mapping, infeasibility reporting,
-  * formatting, and the local generator mirror.
+/** Benchmark harness plumbing: engine mapping, infeasibility reporting
+  * and formatting.
   */
 class HarnessSpec extends AnyFunSuite {
 
@@ -54,33 +53,5 @@ class HarnessSpec extends AnyFunSuite {
   test("markdownTable renders header, rule, and rows") {
     val s = Harness.markdownTable(Seq("a", "b"), Seq(Seq("1", "2"), Seq("3", "4")))
     assert(s === "| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n")
-  }
-
-  test("localInteractions is deterministic and profile-shaped") {
-    val p = TinGen.taxis.scaled(0.1)
-    val a = Harness.localInteractions(p, seed = 5)
-    val b = Harness.localInteractions(p, seed = 5)
-    assert(a.toSeq === b.toSeq)
-    assert(a.length === p.interactions)
-    assert(a.forall(r => r.s != r.d))
-    assert(a.forall(r => r.s >= 0 && r.s < p.vertices && r.d >= 0 && r.d < p.vertices))
-    assert(a.forall(_.q > 0))
-  }
-
-  test("localInteractions quantity means track the profiles") {
-    val taxi = Harness.localInteractions(TinGen.taxis.scaled(0.2), seed = 9)
-    val mTaxi = taxi.map(_.q).sum / taxi.length
-    assert(mTaxi > 1.3 && mTaxi < 1.8, s"taxis mean $mTaxi")
-    val fl = Harness.localInteractions(TinGen.flights.scaled(0.05), seed = 9)
-    val mFl = fl.map(_.q).sum / fl.length
-    assert(math.abs(mFl - 125.0) < 10.0, s"flights mean $mFl")
-  }
-
-  test("localInteractions endpoints are zipf-skewed for bitcoin") {
-    val p = TinGen.bitcoin.scaled(0.005)
-    val rs = Harness.localInteractions(p, seed = 11)
-    val counts = rs.groupBy(_.s).view.mapValues(_.length).toMap
-    val top = counts.values.max
-    assert(top > 10.0 * rs.length / p.vertices)
   }
 }

@@ -1,10 +1,13 @@
 package repro.tin
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.dist.TaggedInteraction
 
-/** Synthetic TIN generators — schema, determinism, Table 6 shape, and
-  * DuckDB-oracled statistics.
+/** Synthetic TIN generators — schema, determinism, Table 6 shape,
+  * DuckDB-oracled statistics, and one row definition behind the Spark
+  * frame and the local stream.
   */
 class TinGenSpec extends SparkSpec {
 
@@ -147,5 +150,46 @@ class TinGenSpec extends SparkSpec {
       "SELECT component, count(*) AS n FROM tin GROUP BY component",
       "tin" -> df,
     )
+  }
+
+  /** `df` collected under `spark.sql.leafNodeDefaultParallelism = n`,
+    * with the number of partitions it was generated in.
+    */
+  private def underParallelism(n: Int)(df: => DataFrame) = {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    spark.conf.set(key, n.toLong)
+    try {
+      val d = df
+      (d.rdd.getNumPartitions, d.orderBy("id").collect().toSeq)
+    } finally spark.conf.unset(key)
+  }
+
+  test("the Spark frame equals the local stream for every quantity distribution") {
+    Seq(
+      TinGen.prosper.scaled(0.005),                            // Exponential
+      TinGen.taxis.scaled(0.05).copy(qty = TinGen.Uniform(0.5, 3.0)), // Uniform
+      TinGen.flights.scaled(0.001),                            // UniformInt
+      TinGen.taxis.scaled(0.05),                               // Passengers
+    ).foreach { p =>
+      val frame = TinGen.toInteractions(TinGen.generate(spark, p, seed = 5L))
+      assert(frame.toSeq === TinGen.local(p, seed = 5L).toSeq, s"${p.name} ${p.qty}")
+    }
+  }
+
+  test("the frame does not depend on how many partitions generate it") {
+    val p = TinGen.bitcoin.scaled(0.005)
+    val (n1, one) = underParallelism(1)(TinGen.generate(spark, p, nComponents = 3, seed = 9L))
+    val (n7, seven) = underParallelism(7)(TinGen.generate(spark, p, nComponents = 3, seed = 9L))
+    assert(n1 === 1 && n7 === 7)
+    assert(one.length === p.interactions)
+    assert(one === seven)
+  }
+
+  test("every row of a multi-component frame is TinGen.row of its id") {
+    import spark.implicits._
+    val p = TinGen.prosper.scaled(0.005)
+    val rows = TinGen.generate(spark, p, nComponents = 3, seed = 11L)
+      .as[TaggedInteraction].collect().sortBy(_.id).toSeq
+    assert(rows === (0L until p.interactions).map(TinGen.row(p, 3, 11L, _)))
   }
 }
