@@ -1,60 +1,60 @@
 package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-/** Weakly-connected components over an interaction edge list, computed
-  * with iterative DataFrame min-label propagation (the "iterative message
-  * passing" substrate of the distributed layer — see DESIGN.md §3).
+/** Weakly-connected components of an interaction edge list by two-phase
+  * union-find (partition-local reduction, Kiveris et al., SoCC 2014; see
+  * DESIGN.md §3): a fixed number of Spark stages, whatever the diameter.
   *
-  * Every vertex starts labelled with its own id; each round every vertex
-  * takes the minimum label among itself and its (undirected) neighbours,
-  * until a fixpoint. Converges in O(component diameter) rounds; lineage
-  * is cut with `localCheckpoint` each round so plans stay flat.
+  * Phase 1 runs a min-id union-find in every partition of the edges and
+  * emits `(vertex, localRoot)` per vertex the partition saw, a forest with
+  * the edges' connectivity. Phase 2 runs the same union-find over that
+  * forest in one task: O(V) ids, at most one pair per edge endpoint, fewer
+  * bytes than the interactions of a giant component, which the replay of
+  * [[DistributedProvenance.run]] already holds in one task.
   */
 object ConnectedComponents {
-  private final val MaxIters = 100 // a run that reaches it fails the `require`
 
   /** @param edges DataFrame with `src`/`dst` columns
     * @return DataFrame `(vertex, component)` — component = min vertex id
     *         of the weakly-connected component
     */
   def weakly(spark: SparkSession, edges: DataFrame): DataFrame = {
-    val sym = edges
-      .select(col("src").as("u"), col("dst").as("v"))
-      .union(edges.select(col("dst").as("u"), col("src").as("v")))
-      .distinct()
-      .localCheckpoint()
+    import spark.implicits._
+    edges
+      .select("src", "dst")
+      .as[(Long, Long)]
+      .mapPartitions(minRoots)
+      .repartition(1)
+      .mapPartitions(minRoots)
+      .toDF("vertex", "component")
+  }
 
-    var labels = sym
-      .select(col("u").as("vertex"))
-      .distinct()
-      .withColumn("component", col("vertex"))
-      .localCheckpoint()
-
-    var iter = 0
-    var converged = false
-    while (!converged && iter < MaxIters) {
-      // message passing: every vertex receives its neighbours' labels …
-      val msgs = sym
-        .join(labels, sym("u") === labels("vertex"))
-        .select(col("v").as("vertex"), col("component"))
-      // … and keeps the minimum of its own and the received labels.
-      val next = labels
-        .union(msgs)
-        .groupBy("vertex")
-        .agg(min("component").as("component"))
-        .localCheckpoint()
-      val changed = next
-        .join(labels.withColumnRenamed("component", "old"), "vertex")
-        .where(col("component") < col("old"))
-        .limit(1)
-        .count()
-      labels = next
-      converged = changed == 0
-      iter += 1
+  /** `(id, min id of its component)` for every id of `pairs`. Parents are
+    * indices into the sorted ids, so union by smaller index is union by
+    * min id; `find` halves paths.
+    */
+  private def minRoots(pairs: Iterator[(Long, Long)]): Iterator[(Long, Long)] = {
+    val b = Array.newBuilder[Long]
+    pairs.foreach { case (s, d) => b += s; b += d }
+    val ends = b.result()
+    val ids = ends.clone()
+    java.util.Arrays.sort(ids)
+    var n = 0
+    for (i <- ids.indices) if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }
+    val parent = Array.range(0, n)
+    def find(x: Int): Int = {
+      var i = x
+      while (parent(i) != i) { parent(i) = parent(parent(i)); i = parent(i) }
+      i
     }
-    require(converged, s"label propagation did not converge in $MaxIters rounds")
-    labels
+    def at(id: Long): Int = find(java.util.Arrays.binarySearch(ids, 0, n, id))
+    var k = 0
+    while (k < ends.length) {
+      val a = at(ends(k)); val c = at(ends(k + 1))
+      if (a < c) parent(c) = a else if (c < a) parent(a) = c
+      k += 2
+    }
+    Iterator.range(0, n).map(i => (ids(i), ids(find(i))))
   }
 }

@@ -32,8 +32,8 @@ object DistributedProvenance {
     */
   type EngineFactory = () => ProvenanceEngine
 
-  /** Tag interactions with their component via label propagation, unless
-    * the frame already carries a `component` column.
+  /** Tag interactions with their component by union-find ([[ConnectedComponents.weakly]]),
+    * unless the frame already carries a `component` column.
     */
   def tag(spark: SparkSession, interactions: DataFrame): Dataset[TaggedInteraction] = {
     import spark.implicits._

@@ -21,11 +21,11 @@ object ProvenanceQueries {
     * origin share of the vertex's buffer. Output: vertex, origin, share.
     */
   def originShares(prov: DataFrame): DataFrame = {
-    val byVertex = prov.groupBy("vertex", "origin").agg(sum("quantity").as("q"))
-    val totals = byVertex.groupBy("vertex").agg(sum("q").as("tot"))
-    byVertex
-      .join(totals, "vertex")
-      .select(col("vertex"), col("origin"), round(col("q") / col("tot"), 6).as("share"))
+    val tot = sum("q").over(Window.partitionBy("vertex"))
+    prov
+      .groupBy("vertex", "origin")
+      .agg(sum("quantity").as("q"))
+      .select(col("vertex"), col("origin"), round(col("q") / tot, 6).as("share"))
   }
 
   /** Top-k contributing origins per vertex (ties broken by origin id).

@@ -5,15 +5,16 @@ import org.apache.spark.sql.types._
 import repro.SparkSpec
 import scala.collection.mutable
 
-/** DataFrame label-propagation weakly-connected components vs a local
+/** Two-phase union-find weakly-connected components vs a local
   * union-find reference.
   */
 class ConnectedComponentsSpec extends SparkSpec {
 
-  private def edgesDf(pairs: Seq[(Long, Long)]) = {
+  private def edgesDf(pairs: Seq[(Long, Long)],
+                      slices: Int = spark.sparkContext.defaultParallelism) = {
     val schema = StructType(Seq(StructField("src", LongType), StructField("dst", LongType)))
     spark.createDataFrame(
-      spark.sparkContext.parallelize(pairs.map { case (s, d) => Row(s, d) }),
+      spark.sparkContext.parallelize(pairs.map { case (s, d) => Row(s, d) }, slices),
       schema,
     )
   }
@@ -33,14 +34,16 @@ class ConnectedComponentsSpec extends SparkSpec {
     parent.keys.map(v => v -> find(v)).toMap
   }
 
-  private def check(pairs: Seq[(Long, Long)]): Unit = {
-    val got = ConnectedComponents
-      .weakly(spark, edgesDf(pairs))
+  private def labels(pairs: Seq[(Long, Long)],
+                     slices: Int = spark.sparkContext.defaultParallelism): Map[Long, Long] =
+    ConnectedComponents
+      .weakly(spark, edgesDf(pairs, slices))
       .collect()
       .map(r => r.getLong(0) -> r.getLong(1))
       .toMap
-    assert(got === reference(pairs))
-  }
+
+  private def check(pairs: Seq[(Long, Long)]): Unit =
+    assert(labels(pairs) === reference(pairs))
 
   test("single edge") { check(Seq((1L, 2L))) }
 
@@ -91,6 +94,31 @@ class ConnectedComponentsSpec extends SparkSpec {
     rows.groupBy(_.getLong(1)).foreach { case (_, vs) =>
       val gens = vs.map(_.getLong(0) / vPer).toSet
       assert(gens.size === 1, s"CC component spans generator components $gens")
+    }
+  }
+
+  test("a 600-vertex path is one component labelled with its minimum id") {
+    val path = (0L until 599L).map(i => (i, i + 1))
+    assert(labels(path) === (0L to 599L).map(_ -> 0L).toMap)
+  }
+
+  test("a path fed in reverse id order is one component labelled with its minimum id") {
+    val path = (599L until 0L by -1L).map(i => (i, i - 1))
+    assert(labels(path) === (0L to 599L).map(_ -> 0L).toMap)
+  }
+
+  test("labels do not depend on how the edges fall into partitions") {
+    (1 to 5).foreach { seed =>
+      val rnd = new java.util.Random(seed)
+      // ids beyond the Int range; duplicate edges and self-loops included
+      def id() = rnd.nextInt(60) * 4294967311L
+      val base = Seq.fill(80)((id(), id()))
+      val loops = Seq.fill(8) { val v = id(); (v, v) }
+      val pairs = new scala.util.Random(seed).shuffle(base ++ base.take(25) ++ loops)
+      Seq(1, 3, 8).foreach { slices =>
+        assert(edgesDf(pairs, slices).rdd.getNumPartitions === slices)
+        assert(labels(pairs, slices) === reference(pairs), s"seed $seed, $slices partitions")
+      }
     }
   }
 }

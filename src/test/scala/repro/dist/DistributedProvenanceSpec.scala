@@ -48,7 +48,7 @@ class DistributedProvenanceSpec extends SparkSpec {
   test("tag() computes components when the column is missing") {
     val untagged = tin4.drop("component")
     val tagged = DistributedProvenance.tag(spark, untagged)
-    // label-propagation components must refine the generator's ranges
+    // union-find components must refine the generator's ranges
     val vPer = profile.vertices / 4
     tagged.collect().foreach { r =>
       assert(r.src / vPer === r.dst / vPer, s"edge crosses generator components: $r")
