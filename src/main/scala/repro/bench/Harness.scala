@@ -18,8 +18,6 @@ object Harness {
 
   /** Outcome of one (policy × dataset) run. */
   final case class RunResult(
-      policy: String,
-      dataset: String,
       timeSec: Double,
       peakBytes: Long,
       status: String, // "ok" | "mem" | "time"
@@ -49,7 +47,7 @@ object Harness {
 
   /** Drive `engine` over `rs`, enforcing the wall-clock budget. */
   def drive(engine: ProvenanceEngine, rs: Array[Interaction],
-            maxSeconds: Double): RunResult0 = {
+            maxSeconds: Double): RunResult = {
     val t0 = System.nanoTime()
     var i = 0
     try {
@@ -57,25 +55,20 @@ object Harness {
         engine.process(rs(i))
         i += 1
         if ((i & 0x3fff) == 0 && (System.nanoTime() - t0) / 1e9 > maxSeconds)
-          return RunResult0((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "time")
+          return RunResult((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "time")
       }
-      RunResult0((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "ok")
+      RunResult((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "ok")
     } catch {
       case _: InfeasibleError =>
-        RunResult0((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "mem")
+        RunResult((System.nanoTime() - t0) / 1e9, engine.memory.peakBytes, "mem")
     }
   }
 
-  final case class RunResult0(timeSec: Double, peakBytes: Long, status: String)
-
   /** Run one policy column over one dataset's interactions. */
-  def runPolicy(policyName: String, dataset: String, rs: Array[Interaction],
-                numVertices: Int,
+  def runPolicy(policyName: String, rs: Array[Interaction], numVertices: Int,
                 budgetBytes: Long = MemoryModel.DefaultBudgetBytes,
-                maxSeconds: Double = 120.0): RunResult = {
-    val r = drive(engineFor(policyName, numVertices, budgetBytes), rs, maxSeconds)
-    RunResult(policyName, dataset, r.timeSec, r.peakBytes, r.status)
-  }
+                maxSeconds: Double = 120.0): RunResult =
+    drive(engineFor(policyName, numVertices, budgetBytes), rs, maxSeconds)
 
   /** Human-readable bytes, matching the paper's KB/MB/GB cells. */
   def fmtBytes(b: Long): String =

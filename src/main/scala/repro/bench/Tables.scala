@@ -95,7 +95,7 @@ object Tables {
       p <- TinGen.all
       col <- Harness.PolicyColumns
     } yield {
-      val res = Harness.runPolicy(col, p.name, streams(p.name), p.vertices,
+      val res = Harness.runPolicy(col, streams(p.name), p.vertices,
                                   budgetBytes = MemoryModel.DefaultBudgetBytes,
                                   maxSeconds = 120.0)
       (p.name, col) -> res
@@ -191,9 +191,9 @@ object Tables {
   )
 
   private val table10Cache =
-    scala.collection.mutable.Map.empty[String, (Harness.RunResult0, OrderedEngine)]
+    scala.collection.mutable.Map.empty[String, (Harness.RunResult, OrderedEngine)]
 
-  def runTable10(dataset: String): (Harness.RunResult0, OrderedEngine) = synchronized {
+  def runTable10(dataset: String): (Harness.RunResult, OrderedEngine) = synchronized {
     table10Cache.getOrElseUpdate(dataset, {
       val e = new OrderedEngine(Policy.Lifo, trackPaths = true,
                                 budgetBytes = 4L * MemoryModel.DefaultBudgetBytes,

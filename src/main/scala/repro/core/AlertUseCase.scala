@@ -46,9 +46,9 @@ object AlertUseCase {
         // neighbour-origin fragment, so the common (no-alert) case is
         // cheap even at hot vertices with long lists.
         val fromNeighbour =
-          eng.provenanceUnsorted(r.d).exists { case (o, _) => o != r.d && nbrs.contains(o) }
+          eng.provenancePairs(r.d).exists { case (o, _) => o != r.d && nbrs.contains(o) }
         if (!fromNeighbour) {
-          val numOrigins = eng.provenanceUnsorted(r.d).count(_._1 != r.d)
+          val numOrigins = eng.provenancePairs(r.d).count(_._1 != r.d)
           alerts += Alert(idx, r.d, total, numOrigins)
         }
       }

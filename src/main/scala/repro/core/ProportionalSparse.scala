@@ -19,11 +19,11 @@ final class ProportionalSparse(
 
   override def bufferTotal(v: Long): Double = lists.total(v)
 
-  /** `v`'s provenance list as (origin, quantity) pairs, in origin order,
-    * without building [[ProvEntry]] values — for hot loops (e.g. the §7.6
-    * alert scan) that only need to iterate.
+  /** `v`'s provenance as (origin, quantity) pairs in ascending origin
+    * order — the same fragments as [[provenance]], without building
+    * [[ProvEntry]] values, for hot loops such as the §7.6 alert scan.
     */
-  def provenanceUnsorted(v: Long): Iterator[(Long, Double)] = lists.pairs(v)
+  def provenancePairs(v: Long): Iterator[(Long, Double)] = lists.pairs(v)
 
   override def provenance(v: Long): Seq[ProvEntry] = lists.provenance(v)
 

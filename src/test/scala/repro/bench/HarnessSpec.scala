@@ -19,7 +19,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("drive reports ok runs with timing and peak memory") {
     val rs = TestTins.random(1, nV = 6, n = 200).toArray
-    val r = Harness.runPolicy("FIFO", "test", rs, numVertices = 6)
+    val r = Harness.runPolicy("FIFO", rs, numVertices = 6)
     assert(r.status === "ok")
     assert(r.timeSec >= 0.0)
     assert(r.peakBytes > 0)
@@ -29,7 +29,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("drive reports memory infeasibility as the paper's '—'") {
     val rs = TestTins.random(2, nV = 20, n = 500).toArray
-    val r = Harness.runPolicy("PropSparse", "test", rs, numVertices = 20,
+    val r = Harness.runPolicy("PropSparse", rs, numVertices = 20,
                               budgetBytes = 4 * MemoryModel.PairBytes)
     assert(r.status === "mem")
     assert(r.timeCell.startsWith("—"))
@@ -38,7 +38,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("drive enforces the wall-clock budget") {
     val rs = TestTins.random(3, nV = 50, n = 200_000).toArray
-    val r = Harness.runPolicy("PropSparse", "test", rs, numVertices = 50,
+    val r = Harness.runPolicy("PropSparse", rs, numVertices = 50,
                               maxSeconds = 0.0)
     assert(r.status === "time")
   }

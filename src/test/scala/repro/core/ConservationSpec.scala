@@ -2,8 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Mass conservation of all 11 systems (self-loops included) and the
-  * metering of the sparse-list engines (sparse, windowed, budget).
+/** Mass conservation of all 11 systems (self-loops included), the
+  * metering of the sparse-list engines (sparse, windowed, budget) and the
+  * peaks of the dense-slot engines (dense, selective, grouped).
   */
 class ConservationSpec extends AnyFunSuite {
 
@@ -38,27 +39,37 @@ class ConservationSpec extends AnyFunSuite {
   // Recorded from the LongMap-based sparse, windowed and budget engines
   // that preceded the list kernel, on TestTins.random(seed, nV = 40,
   // n = 600): sparse (peakBytes, peakEntries), windowed (W = 50) and
-  // budget (C = 5) peakBytes, and budget's avgShrinks.
+  // budget (C = 5) peakBytes, and budget's avgShrinks; then the dense
+  // (|V| = 40), selective (tracking 0, 3, 7) and grouped (4 groups)
+  // peakBytes, recorded from the separate dense and slot engines that
+  // preceded the one dense-slot kernel.
   private val golden = Map(
-    1 -> (21744L, 1359L, 4160L, 2752L, 9.416666666666666),
-    2 -> (22464L, 1404L, 4000L, 2592L, 9.08108108108108),
-    3 -> (22736L, 1421L, 3952L, 2592L, 9.61111111111111),
-    4 -> (20768L, 1298L, 4144L, 2560L, 9.378378378378379),
-    5 -> (20896L, 1306L, 4064L, 2656L, 8.868421052631579),
+    1 -> (21744L, 1359L, 4160L, 2752L, 9.416666666666666, 13120L, 1600L, 1600L),
+    2 -> (22464L, 1404L, 4000L, 2592L, 9.08108108108108, 13120L, 1600L, 1600L),
+    3 -> (22736L, 1421L, 3952L, 2592L, 9.61111111111111, 13120L, 1600L, 1600L),
+    4 -> (20768L, 1298L, 4144L, 2560L, 9.378378378378379, 13120L, 1600L, 1600L),
+    5 -> (20896L, 1306L, 4064L, 2656L, 8.868421052631579, 13120L, 1600L, 1600L),
   )
 
-  golden.toSeq.sortBy(_._1).foreach { case (seed, (sBytes, sEntries, wBytes, bBytes, shrinks)) =>
-    test(s"metered peaks are unchanged from the recorded values (seed $seed)") {
-      val rs = TestTins.random(seed, nV = 40, n = 600)
-      val s = new ProportionalSparse(); s.processAll(rs)
-      val w = new WindowedProvenance(50); w.processAll(rs)
-      val b = new BudgetProvenance(5); b.processAll(rs)
-      assert(s.memory.peakBytes === sBytes)
-      assert(s.peakEntries === sEntries)
-      assert(w.memory.peakBytes === wBytes)
-      assert(b.memory.peakBytes === bBytes)
-      assert(b.avgShrinks === shrinks)
-    }
+  golden.toSeq.sortBy(_._1).foreach {
+    case (seed, (sBytes, sEntries, wBytes, bBytes, shrinks, dBytes, selBytes, gBytes)) =>
+      test(s"metered peaks are unchanged from the recorded values (seed $seed)") {
+        val rs = TestTins.random(seed, nV = 40, n = 600)
+        val s = new ProportionalSparse(); s.processAll(rs)
+        val w = new WindowedProvenance(50); w.processAll(rs)
+        val b = new BudgetProvenance(5); b.processAll(rs)
+        val d = new ProportionalDense(40); d.processAll(rs)
+        val sel = new SelectiveProvenance(Seq(0L, 3L, 7L)); sel.processAll(rs)
+        val g = new GroupedProvenance(4, v => (v % 4).toInt); g.processAll(rs)
+        assert(s.memory.peakBytes === sBytes)
+        assert(s.peakEntries === sEntries)
+        assert(w.memory.peakBytes === wBytes)
+        assert(b.memory.peakBytes === bBytes)
+        assert(b.avgShrinks === shrinks)
+        assert(d.memory.peakBytes === dBytes)
+        assert(sel.memory.peakBytes === selBytes)
+        assert(g.memory.peakBytes === gBytes)
+      }
   }
 
   test("sparse-list engines meter 16 B per live entry after every interaction") {
@@ -92,7 +103,7 @@ class ConservationSpec extends AnyFunSuite {
       (0L until 10L).foreach { v =>
         val origins = s.provenance(v).map(_.origin)
         assert(origins === origins.sorted, s"seed $seed v$v")
-        assert(s.provenanceUnsorted(v).map(_._1).toVector === origins, s"seed $seed v$v")
+        assert(s.provenancePairs(v).map(_._1).toVector === origins, s"seed $seed v$v")
       }
     }
   }
