@@ -89,15 +89,25 @@ object Tables {
     ("taxis", "PropSparse") -> "0.44MB",
   )
 
-  /** Run every (dataset × policy) cell once; memoised per JVM. */
+  /** Timed runs per Tables 7/8 cell. */
+  val Table78Runs = 3
+
+  /** Every (dataset × policy) cell: the run of median time out of
+    * [[Table78Runs]], or the first run alone where it blew a budget;
+    * memoised per JVM.
+    */
   lazy val table78Results: Map[(String, String), Harness.RunResult] = {
     for {
       p <- TinGen.all
       col <- Harness.PolicyColumns
     } yield {
-      val res = Harness.runPolicy(col, streams(p.name), p.vertices,
-                                  budgetBytes = MemoryModel.DefaultBudgetBytes,
-                                  maxSeconds = 120.0)
+      def run() = Harness.runPolicy(col, streams(p.name), p.vertices,
+                                    budgetBytes = MemoryModel.DefaultBudgetBytes,
+                                    maxSeconds = 120.0)
+      val first = run()
+      val res =
+        if (first.status != "ok") first
+        else (first +: Seq.fill(Table78Runs - 1)(run())).sortBy(_.timeSec).apply(Table78Runs / 2)
       (p.name, col) -> res
     }
   }.toMap

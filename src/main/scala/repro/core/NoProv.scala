@@ -14,25 +14,38 @@ import scala.collection.mutable
   * provenance.
   */
 final class NoProv(budgetBytes: Long = MemoryModel.Unbounded) extends ProvenanceEngine {
-  private val buf = mutable.LongMap.empty[Double]
-  private val gen = mutable.LongMap.empty[Double]
+  import NoProv.Cell
+
+  private val cells = mutable.LongMap.empty[Cell]
   val memory = new MemoryModel(budgetBytes)
 
   /** Quantity generated (born) at the source by the last interaction. */
   var lastGenerated: Double = 0.0
 
-  override def process(r: Interaction): Unit = {
-    val bs = buf.getOrElse(r.s, { memory.charge(MemoryModel.BufferCellBytes); 0.0 })
-    val relayed = math.min(r.q, bs)
-    val born = r.q - relayed
-    lastGenerated = born
-    buf(r.s) = bs - relayed
-    val bd = buf.getOrElse(r.d, { memory.charge(MemoryModel.BufferCellBytes); 0.0 })
-    buf(r.d) = bd + r.q
-    if (born > 0) gen(r.s) = gen.getOrElse(r.s, 0.0) + born
+  private def cellOf(v: Long): Cell = {
+    var c = cells.getOrNull(v)
+    if (c == null) {
+      memory.charge(MemoryModel.BufferCellBytes)
+      c = new Cell
+      cells.update(v, c)
+    }
+    c
   }
 
-  override def bufferTotal(v: Long): Double = buf.getOrElse(v, 0.0)
+  override def process(r: Interaction): Unit = {
+    val s = cellOf(r.s)
+    val relayed = math.min(r.q, s.buf)
+    val born = r.q - relayed
+    lastGenerated = born
+    s.buf -= relayed
+    if (born > 0) s.gen += born
+    cellOf(r.d).buf += r.q
+  }
+
+  override def bufferTotal(v: Long): Double = {
+    val c = cells.getOrNull(v)
+    if (c == null) 0.0 else c.buf
+  }
 
   override def provenance(v: Long): Seq[ProvEntry] = {
     // NoProv does not track origins: the whole buffer is of unknown
@@ -42,14 +55,28 @@ final class NoProv(budgetBytes: Long = MemoryModel.Unbounded) extends Provenance
   }
 
   override def vertices: Iterator[Long] =
-    buf.iterator.collect { case (v, q) if q > ProvenanceEngine.Eps => v }
+    cells.iterator.collect { case (v, c) if c.buf > ProvenanceEngine.Eps => v }
 
   /** Total quantity generated at `v` over the whole run. */
-  def generatedBy(v: Long): Double = gen.getOrElse(v, 0.0)
+  def generatedBy(v: Long): Double = {
+    val c = cells.getOrNull(v)
+    if (c == null) 0.0 else c.gen
+  }
 
   /** The k vertices that generated the largest total quantities
     * (ties broken by vertex id for determinism) — the §7.3 selection.
     */
   def topGenerators(k: Int): Vector[Long] =
-    gen.toVector.sortBy { case (v, q) => (-q, v) }.take(k).map(_._1)
+    cells.iterator.collect { case (v, c) if c.gen > 0 => (v, c.gen) }.toVector
+      .sortBy { case (v, q) => (-q, v) }.take(k).map(_._1)
+}
+
+object NoProv {
+  /** One vertex's state: |B_v| and the quantity it generated so far. The
+    * meter charges only the buffer cell, as Alg. 1 needs nothing else.
+    */
+  private final class Cell {
+    var buf = 0.0
+    var gen = 0.0
+  }
 }

@@ -11,9 +11,16 @@ import scala.collection.mutable
   * newborn element with origin `r.s` and birth `r.t`.
   *
   * Buffer organisation per policy:
-  *   - LeastRecentlyBorn / MostRecentlyBorn (§4.1): min/max-heap keyed on
-  *     birth time (ties broken by element creation sequence, which makes
-  *     runs deterministic); elements are (origin, birth, quantity) triples.
+  *   - LeastRecentlyBorn / MostRecentlyBorn (§4.1): one two-ended array
+  *     per vertex, sorted by (birth time, newborn event), holding one
+  *     (origin, birth, quantity) entry per newborn. Every newborn gets an
+  *     event number from a per-engine counter and its split parts inherit
+  *     it; a part arriving where its newborn already has an entry is added
+  *     into that entry. LRB selects from the old end, MRB from the young
+  *     end. Merging is exact: at any vertex the parts of one newborn are
+  *     adjacent in selection order, so every (vertex, origin, birth)
+  *     quantity equals element-wise Alg. 2's with ties between equal birth
+  *     times broken by newborn order.
   *   - FIFO (§4.2): queue — selected from the head, transferred chunk
   *     appended at the destination tail in selection order.
   *   - LIFO (§4.2): stack — selected from the top; the transferred chunk
@@ -26,7 +33,9 @@ import scala.collection.mutable
   * path; every element relayed from `r.s` to `r.d` has its path extended
   * with the transmitter `r.s`. Paths are stored most-recent-first with
   * structural sharing, but metered per element like the paper's flat
-  * arrays: 8 B per relay hop.
+  * arrays: 8 B per relay hop. Where a birth-keyed part merges into its
+  * newborn's entry, that entry keeps its path and the arrival's hop bytes
+  * are uncharged, as for `consolidate` below.
   *
   * With `consolidate = true` (receipt-order policies only) an arriving
   * quantity whose origin already has an entry in the destination buffer
@@ -56,23 +65,27 @@ final class OrderedEngine(
     if (withBirth) MemoryModel.TripleBytes else MemoryModel.PairBytes
 
   private val buffers = mutable.LongMap.empty[Buf]
-  private val totals = mutable.LongMap.empty[Double]
-  private var seqCounter = 0L
+  private var events = 0L
   private var elemCount = 0L
   private var entryBytesLive = 0L
   private var entryBytesPeak = 0L
   private var pathBytesLive = 0L
   private var pathBytesPeak = 0L
 
-  private def newElem(origin: Long, birth: Long, q: Double, path: List[Long],
+  private def newElem(origin: Long, birth: Long, event: Long, q: Double, path: List[Long],
                       hops: Int): Elem = {
-    seqCounter += 1
     elemCount += 1
     memory.charge(entryBytes)
     entryBytesLive += entryBytes
     if (entryBytesLive > entryBytesPeak) entryBytesPeak = entryBytesLive
     if (trackPaths) chargePath(hops.toLong)
-    new Elem(origin, birth, q, path, hops, seqCounter)
+    new Elem(origin, birth, event, q, path, hops)
+  }
+
+  /** A newborn element, with the next event number. */
+  private def newborn(origin: Long, birth: Long, q: Double, path: List[Long]): Elem = {
+    events += 1
+    newElem(origin, birth, events, q, path, 0)
   }
 
   private def chargePath(hops: Long): Unit = {
@@ -82,7 +95,7 @@ final class OrderedEngine(
     if (pathBytesLive > pathBytesPeak) pathBytesPeak = pathBytesLive
   }
 
-  /** Uncharge a merged-away arrival (consolidated buffers only). */
+  /** Uncharge an arrival that was added into an existing entry. */
   private def discard(e: Elem): Unit = {
     elemCount -= 1
     memory.charge(-entryBytes)
@@ -97,7 +110,7 @@ final class OrderedEngine(
   private def bufOf(v: Long): Buf = {
     var b = buffers.getOrNull(v)
     if (b == null) {
-      b = if (withBirth) new HeapBuf(policy)
+      b = if (withBirth) new SortedBuf(policy == Policy.MostRecentlyBorn, discard)
           else new DequeBuf(policy == Policy.Lifo, consolidate, discard)
       buffers.update(v, b)
     }
@@ -111,12 +124,15 @@ final class OrderedEngine(
     var resq = r.q
     val src = buffers.getOrNull(r.s)
     moved.clear()
+    var split: Elem = null // birth-keyed τ split by this interaction;
+    var splitQ = 0.0       // its part `splitQ` moves too
     if (src != null) {
       while (resq > Eps && src.nonEmpty) {
         val tau = src.peek
         if (tau.q > resq + Eps) { // split τ: keep remainder at source
           tau.q -= resq
-          moved += newElem(tau.origin, tau.birth, resq, tau.path, tau.hops)
+          if (withBirth) { split = tau; splitQ = resq }
+          else moved += newElem(tau.origin, tau.birth, tau.event, resq, tau.path, tau.hops)
           resq = 0.0
         } else { // transfer the whole element
           src.pop()
@@ -125,6 +141,7 @@ final class OrderedEngine(
         }
       }
       if (resq < Eps) resq = 0.0
+      src.total -= math.min(r.q, src.total) // relayed part leaves the source
     }
     if (trackPaths) {
       var i = 0
@@ -134,25 +151,35 @@ final class OrderedEngine(
     }
     val dst = bufOf(r.d)
     dst.receive(moved)
+    if (split != null && !dst.addTo(split.birth, split.event, splitQ)) {
+      // the part's newborn has no entry at r.d yet: the part becomes one
+      dst.receiveNewborn(
+        if (trackPaths)
+          newElem(split.origin, split.birth, split.event, splitQ, r.s :: split.path, split.hops + 1)
+        else newElem(split.origin, split.birth, split.event, splitQ, Nil, 0))
+    }
     if (resq > Eps) { // newborn quantity at the source (Alg. 2 lines 18–21)
-      val path = if (trackPaths) List(r.s) else Nil
-      dst.receiveNewborn(newElem(r.s, r.t, resq, path, 0))
+      dst.receiveNewborn(newborn(r.s, r.t, resq, if (trackPaths) List(r.s) else Nil))
       resq = 0.0
     }
-    val ts = totals.getOrElse(r.s, 0.0)
-    totals(r.s) = ts - math.min(r.q, ts) // relayed part leaves the source
-    totals(r.d) = totals.getOrElse(r.d, 0.0) + r.q
+    dst.total += r.q
   }
 
-  override def bufferTotal(v: Long): Double = totals.getOrElse(v, 0.0)
+  override def bufferTotal(v: Long): Double = {
+    val b = buffers.getOrNull(v)
+    if (b == null) 0.0 else b.total
+  }
 
+  /** Buffer entries in the buffer's order: queue head→tail, stack
+    * bottom→top, or birth order (oldest first) for LRB/MRB.
+    */
   override def provenance(v: Long): Seq[ProvEntry] =
     buffers.get(v).map(_.elements.map(_.toProv(withBirth, trackPaths))).getOrElse(Nil)
 
   override def vertices: Iterator[Long] =
     buffers.iterator.collect { case (v, b) if b.nonEmpty => v }
 
-  /** Live provenance elements across all buffers. */
+  /** Live provenance elements (buffer entries) across all buffers. */
   def liveElements: Long = elemCount
 
   /** Export receipt-order buffers as vertex → (origin, quantity) pairs in
@@ -177,12 +204,10 @@ final class OrderedEngine(
     require(buffers.isEmpty, "importQueues requires a fresh engine")
     state.foreach { case (v, pairs) =>
       val b = bufOf(v)
-      var total = 0.0
       pairs.foreach { case (o, q) =>
-        b.receiveNewborn(newElem(o, -1L, q, Nil, 0)) // appends at tail, keeping order
-        total += q
+        b.receiveNewborn(newborn(o, -1L, q, Nil)) // appends at tail, keeping order
+        b.total += q
       }
-      totals(v) = total
     }
     this
   }
@@ -210,16 +235,17 @@ final class OrderedEngine(
 object OrderedEngine {
   private val Eps = ProvenanceEngine.Eps
 
-  /** A quantity element in a buffer. `path` is most-recent-transmitter
-    * first; the origin is its last node.
+  /** A quantity element in a buffer. `event` numbers the newborn it was
+    * split from. `path` is most-recent-transmitter first; the origin is
+    * its last node.
     */
   private[core] final class Elem(
       val origin: Long,
       val birth: Long,
+      val event: Long,
       var q: Double,
       var path: List[Long],
       var hops: Int, // relays past the origin == path.length - 1, cached O(1)
-      val seq: Long,
   ) {
     def toProv(withBirth: Boolean, withPath: Boolean): ProvEntry =
       ProvEntry(
@@ -230,8 +256,9 @@ object OrderedEngine {
       )
   }
 
-  /** Buffer behaviour that varies by policy. */
-  private sealed trait Buf {
+  /** Buffer behaviour that varies by policy; `total` is |B_v|. */
+  private sealed abstract class Buf {
+    var total = 0.0
     def nonEmpty: Boolean
     /** Next element the policy would transfer (not removed). */
     def peek: Elem
@@ -239,34 +266,91 @@ object OrderedEngine {
     def pop(): Unit
     /** Add a transferred chunk, given in selection (pop) order. */
     def receive(chunk: collection.IndexedSeq[Elem]): Unit
-    /** Add a newborn element (after the chunk). */
+    /** Add one new element after the chunk: a newborn, or a birth-keyed
+      * part whose newborn has no entry here.
+      */
     def receiveNewborn(e: Elem): Unit
+    /** Add `q` of newborn `event` into its entry; false if there is none. */
+    def addTo(birth: Long, event: Long, q: Double): Boolean
     /** All elements in the buffer's canonical display order. */
     def elements: Seq[Elem]
   }
 
-  /** Birth time, then creation sequence, compared as primitives. */
-  private val byBirth: Ordering[Elem] = new Ordering[Elem] {
-    def compare(a: Elem, b: Elem): Int = {
-      val c = java.lang.Long.compare(a.birth, b.birth)
-      if (c != 0) c else java.lang.Long.compare(a.seq, b.seq)
-    }
-  }
+  /** §4.1 — entries `a(lo until hi)` sorted by (birth, event), oldest
+    * first, at most one per newborn event. MRB (`youngFirst`) selects
+    * from the young end, LRB from the old end. An arrival for a newborn
+    * that already has an entry is added into it (`onDiscard` uncharges
+    * the arrival).
+    */
+  private final class SortedBuf(youngFirst: Boolean, onDiscard: Elem => Unit) extends Buf {
+    private var a = new Array[Elem](4)
+    private var lo = 2
+    private var hi = 2
+    def nonEmpty: Boolean = hi > lo
+    def peek: Elem = if (youngFirst) a(hi - 1) else a(lo)
+    def pop(): Unit =
+      if (youngFirst) { hi -= 1; a(hi) = null } else { a(lo) = null; lo += 1 }
 
-  /** §4.1 — heap keyed on birth time. */
-  private final class HeapBuf(policy: Policy) extends Buf {
-    // mutable.PriorityQueue dequeues the maximum; LRB needs the minimum.
-    private val h = mutable.PriorityQueue.empty[Elem](
-      if (policy == Policy.LeastRecentlyBorn) byBirth.reverse else byBirth)
-    def nonEmpty: Boolean = h.nonEmpty
-    def peek: Elem = h.head
-    def pop(): Unit = { h.dequeue(); () }
+    private def before(e: Elem, birth: Long, event: Long): Boolean =
+      e.birth < birth || (e.birth == birth && e.event < event)
+
+    /** Index in `[lo, hi]` of the first entry not before (birth, event).
+      * Both ends are tried first: every newborn lands at the young end.
+      */
+    private def find(birth: Long, event: Long): Int =
+      if (hi == lo || before(a(hi - 1), birth, event)) hi
+      else if (!before(a(lo), birth, event)) lo
+      else {
+        var l = lo + 1; var h = hi - 1 // a(l - 1) is before, a(h) is not
+        while (l < h) {
+          val m = (l + h) >>> 1
+          if (before(a(m), birth, event)) l = m + 1 else h = m
+        }
+        l
+      }
+
+    def addTo(birth: Long, event: Long, q: Double): Boolean = {
+      val i = find(birth, event)
+      if (i < hi && a(i).event == event) { a(i).q += q; true } else false
+    }
+
+    private def insert(e: Elem): Unit = {
+      var i = find(e.birth, e.event)
+      if (i < hi && a(i).event == e.event) { a(i).q += e.q; onDiscard(e) }
+      else {
+        if (lo == 0 || hi == a.length) i += makeRoom()
+        if (i - lo < hi - i) { // shift the older side down by one
+          System.arraycopy(a, lo, a, lo - 1, i - lo); lo -= 1; a(i - 1) = e
+        } else {
+          System.arraycopy(a, i, a, i + 1, hi - i); hi += 1; a(i) = e
+        }
+      }
+    }
+
+    /** Re-centre the entries, in place if they fill under half of the
+      * array, else in one twice as long; returns how far they moved.
+      */
+    private def makeRoom(): Int = {
+      val n = hi - lo
+      val b = if (2 * n < a.length) a else new Array[Elem](2 * a.length)
+      val newLo = (b.length - n) / 2
+      System.arraycopy(a, lo, b, newLo, n)
+      if (b eq a) { // clear the slots left behind
+        var i = lo
+        while (i < hi) { if (i < newLo || i >= newLo + n) a(i) = null; i += 1 }
+      }
+      a = b
+      val shift = newLo - lo
+      lo = newLo; hi = newLo + n
+      shift
+    }
+
     def receive(chunk: collection.IndexedSeq[Elem]): Unit = {
       var i = 0
-      while (i < chunk.length) { h += chunk(i); i += 1 }
+      while (i < chunk.length) { insert(chunk(i)); i += 1 }
     }
-    def receiveNewborn(e: Elem): Unit = h += e
-    def elements: Seq[Elem] = h.toSeq.sorted(byBirth)
+    def receiveNewborn(e: Elem): Unit = insert(e)
+    def elements: Seq[Elem] = a.slice(lo, hi).toSeq
   }
 
   /** §4.2 — FIFO queue (`lifoMode = false`) or LIFO stack. With
@@ -300,6 +384,7 @@ object OrderedEngine {
       }
     }
     def receiveNewborn(e: Elem): Unit = insert(e)
+    def addTo(birth: Long, event: Long, q: Double): Boolean = false // parts come as elements
     def elements: Seq[Elem] = d.toSeq // head→tail == queue order / stack bottom→top
   }
 }

@@ -72,6 +72,31 @@ class ConservationSpec extends AnyFunSuite {
       }
   }
 
+  // The dense (|V| = 40), selective and grouped peakBytes of the engines
+  // above on TestTins.random(seed, nV = 40, n = 12). Those 12 interactions
+  // touch 17–20 vertices and give only 9–11 of them a row, so the values
+  // pin when a row is allocated (a vertex first holds a quantity), not
+  // only what it is charged; recorded before this test was added.
+  private val goldenFewRows = Map(
+    1 -> (3200L, 360L, 360L),
+    2 -> (3520L, 400L, 400L),
+    3 -> (3520L, 400L, 400L),
+    4 -> (3840L, 440L, 440L),
+    5 -> (3520L, 400L, 400L),
+  )
+
+  test("dense-slot peaks count only the rows a short stream allocates") {
+    goldenFewRows.toSeq.sortBy(_._1).foreach { case (seed, (dBytes, selBytes, gBytes)) =>
+      val rs = TestTins.random(seed, nV = 40, n = 12)
+      val d = new ProportionalDense(40); d.processAll(rs)
+      val sel = new SelectiveProvenance(Seq(0L, 3L, 7L)); sel.processAll(rs)
+      val g = new GroupedProvenance(4, v => (v % 4).toInt); g.processAll(rs)
+      assert(d.memory.peakBytes === dBytes, s"seed $seed")
+      assert(sel.memory.peakBytes === selBytes, s"seed $seed")
+      assert(g.memory.peakBytes === gBytes, s"seed $seed")
+    }
+  }
+
   test("sparse-list engines meter 16 B per live entry after every interaction") {
     (1 to 6).foreach { seed =>
       val rs = TestTins.random(seed, nV = 10, n = 300, selfLoopFrac = 0.1)

@@ -148,4 +148,70 @@ class GenTimeSpec extends AnyFunSuite {
       }
     }
   }
+
+  // -------- one entry per newborn vs the element-wise reference --------
+
+  /** Streams with distinct timestamps, equal timestamps (three per tick)
+    * and self-loops.
+    */
+  private def streams(seed: Int): Seq[(String, Vector[Interaction])] = {
+    val distinct = TestTins.random(seed, nV = 8, n = 300)
+    Seq(
+      "distinct" -> distinct,
+      "equal-t" -> distinct.map(r => r.copy(t = r.id / 3)),
+      "equal-t intQ" -> TestTins.random(seed + 50, nV = 6, n = 300, intQ = true)
+        .map(r => r.copy(t = r.id / 3)),
+      "self-loops" -> TestTins.random(seed + 100, nV = 8, n = 300, selfLoopFrac = 0.15)
+        .map(r => r.copy(t = r.id / 2)),
+    )
+  }
+
+  private def entryCounts(e: OrderedEngine): Map[(Long, Long, Long), Int] =
+    e.snapshot().groupMapReduce { case (v, p) => (v, p.origin, p.birth) }(_ => 1)(_ + _)
+
+  Seq("LRB" -> Policy.LeastRecentlyBorn, "MRB" -> Policy.MostRecentlyBorn).foreach {
+    case (name, policy) =>
+      test(s"$name ≡ element-wise reference per (vertex, origin, birth)") {
+        (1 to 8).foreach { seed =>
+          streams(seed).foreach { case (kind, rs) =>
+            val e = new OrderedEngine(policy); e.processAll(rs)
+            val ref = new BirthReference(policy == Policy.MostRecentlyBorn).processAll(rs)
+            val got = e.snapshot().groupMapReduce { case (v, p) => (v, p.origin, p.birth) }(
+              _._2.quantity)(_ + _)
+            TestTins.assertMapsEqual(got, ref.totals, hint = s"$kind seed $seed")
+          }
+        }
+      }
+
+      test(s"$name keeps one entry per (vertex, newborn), in birth order") {
+        (1 to 8).foreach { seed =>
+          streams(seed).foreach { case (kind, rs) =>
+            val e = new OrderedEngine(policy); e.processAll(rs)
+            val ref = new BirthReference(policy == Policy.MostRecentlyBorn).processAll(rs)
+            val (got, want) = (entryCounts(e), ref.newborns)
+            val diff = (got.keySet ++ want.keySet).filter(k => got.get(k) != want.get(k))
+            assert(diff.size === 0, s"$kind seed $seed: entries vs newborns at " +
+                     diff.take(3).map(k => s"$k: ${got.get(k)} vs ${want.get(k)}").mkString(", "))
+            assert(e.liveElements === want.values.sum.toLong, s"$kind seed $seed")
+            e.vertices.foreach { v =>
+              val births = e.provenance(v).map(_.birth)
+              assert(births === births.sorted, s"$kind seed $seed v$v")
+            }
+          }
+        }
+      }
+
+      test(s"$name meters 24 B per live entry after every interaction") {
+        (1 to 4).foreach { seed =>
+          streams(seed).foreach { case (kind, rs) =>
+            val e = new OrderedEngine(policy)
+            rs.foreach { r =>
+              e.process(r)
+              assert(e.memory.liveBytes === MemoryModel.TripleBytes * e.liveElements,
+                     s"$kind seed $seed at ${r.id}")
+            }
+          }
+        }
+      }
+  }
 }
