@@ -24,7 +24,7 @@ final class BudgetProvenance(
   val Alpha: Long = -1L
 
   val memory = new MemoryModel(budgetBytes)
-  private val lists = new SparseLists(memory)
+  private[core] val lists = new SparseLists(memory)
   private val keep = math.ceil(keepFraction * capacity).toInt
 
   override def process(r: Interaction): Unit = {

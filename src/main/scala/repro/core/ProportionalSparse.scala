@@ -3,17 +3,21 @@ package repro.core
 /** Algorithm 3 with sparse (list) provenance-vector representations
   * (§4.3, "Sparse vector representations").
   *
-  * Each `p_v` is a list of only its non-zero fragments, sorted by origin
-  * (the [[SparseLists]] kernel); vector-wise ⊕/⊖ become linear merges of
-  * these lists. Space is O(|V|·ℓ) and time O(|R|·ℓ) where ℓ is the mean
-  * list length — which, as §7.2 shows, grows unboundedly on large mixed
-  * networks; the [[MemoryModel]] budget reproduces the resulting "—" cells.
+  * Each `p_v` holds only its non-zero fragments (the [[SparseLists]]
+  * kernel): an origin-sorted list while short, whose ⊕/⊖ are linear
+  * merges, and an origin-indexed dense array with a bitmap of the stored
+  * origins once it holds 1/8 of the origin range, reached by index. Both
+  * forms meter 16 B per stored fragment, so space is O(|V|·ℓ) metered and
+  * time O(|R|·ℓ) where ℓ is the mean list length — which, as §7.2 shows,
+  * grows unboundedly on large mixed networks; the [[MemoryModel]] budget
+  * reproduces the resulting "—" cells. A dense row's real heap is up to
+  * about 4× its metered bytes (see [[SparseLists]]).
   */
 final class ProportionalSparse(
     budgetBytes: Long = MemoryModel.Unbounded,
 ) extends ProvenanceEngine {
   val memory = new MemoryModel(budgetBytes)
-  private val lists = new SparseLists(memory)
+  private[core] val lists = new SparseLists(memory)
 
   override def process(r: Interaction): Unit = lists.relay(r.s, r.d, r.q)
 

@@ -21,8 +21,8 @@ final class WindowedProvenance(
   val Alpha: Long = -1L
 
   val memory = new MemoryModel(budgetBytes)
-  private val odd = new SparseLists(memory)
-  private val even = new SparseLists(memory)
+  private[core] val odd = new SparseLists(memory)
+  private[core] val even = new SparseLists(memory)
   private var processed = 0L
   private var lastResetOdd = Long.MinValue
   private var lastResetEven = Long.MinValue
