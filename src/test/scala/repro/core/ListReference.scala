@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 /** List-only Alg. 3 as a test reference for the sparse-list engines: each
   * vertex keeps its fragments in an origin-ordered `TreeMap`, and every
-  * ⊕/⊖, Eps rule and `memory.charge` comes in the order the paper's
+  * ⊕/⊖, Eps rule and `memory.charge` comes in the order the
   * sparse-list merge makes them. [[sparse]], [[windowed]] and [[budget]]
   * replay a stream as the three engines do.
   */
@@ -78,7 +78,6 @@ final class ListReference(val memory: MemoryModel) {
   }
 
   def size(v: Long): Int = rowOf(v).frags.size
-  def total(v: Long): Double = rows.get(v).fold(0.0)(_.total)
 
   /** v → its fragments in origin order, over the vertices with |B_v| > Eps. */
   def snapshot: Map[Long, Vector[(Long, Double)]] =
