@@ -38,6 +38,8 @@ final class BudgetProvenance(
 
   override def vertices: Iterator[Long] = lists.vertices
 
+  override protected def addEntries(rows: SnapshotRows): Unit = lists.addEntries(rows)
+
   /** Live (origin, quantity) entries across all lists. */
   def liveEntries: Long = lists.live
 

@@ -5,16 +5,46 @@ package repro.core
   * @param s  source vertex
   * @param d  destination vertex
   * @param t  time the interaction took place (any monotone clock)
-  * @param q  transferred quantity (must be > 0)
+  * @param q  transferred quantity (finite and ≥ 0)
   * @param id tie-breaker: position of the interaction in the input stream.
   *           The paper assumes a total time order; real timestamps can
   *           collide, so `(t, id)` is the canonical processing order.
   */
 final case class Interaction(s: Long, d: Long, t: Long, q: Double, id: Long = 0L) {
-  require(q >= 0.0, s"negative quantity in interaction $this")
+  if (!(q >= 0.0 && q < Double.PositiveInfinity))
+    throw new InvalidInteraction(this, "its quantity is not finite and ≥ 0")
 }
 
+/** An interaction no engine may process, raised where it is first seen:
+  * by [[Interaction]] itself for its quantity, or by an engine for a
+  * vertex id outside `0 until Interaction.VertexLimit`. Its message names
+  * the offending row.
+  */
+final class InvalidInteraction(val row: Interaction, reason: String)
+    extends IllegalArgumentException(s"invalid interaction $row: $reason")
+
 object Interaction {
+
+  /** Vertex ids of the engines that index their state by vertex
+    * ([[NoProv]], [[OrderedEngine]]) lie in `0 until VertexLimit`; −1 is
+    * the artificial origin α. Arbitrary `Long` ids reach them densely
+    * encoded by `repro.dist.ComponentInput`.
+    */
+  val VertexLimit: Int = 1 << 28
+
+  /** The larger of `r`'s endpoints, once both are in the vertex domain. */
+  private[core] def checkIds(r: Interaction): Long = {
+    def bad(v: Long) = v < 0 || v >= VertexLimit
+    if (bad(r.s) || bad(r.d))
+      throw new InvalidInteraction(r, s"a vertex id is outside 0 until $VertexLimit")
+    math.max(r.s, r.d)
+  }
+
+  /** Length of a vertex-indexed array grown to hold id `top`: the next
+    * power of two, so that an array grows at most once per doubling of
+    * the ids seen and at most to `VertexLimit`.
+    */
+  private[core] def roomFor(top: Long): Int = Integer.highestOneBit(top.toInt | 1) << 1
 
   /** The canonical processing order used by every engine: time, then
     * stream position for equal timestamps.

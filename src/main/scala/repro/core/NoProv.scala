@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Algorithm 1 — basic quantity propagation with no provenance tracking.
   *
   * Each vertex keeps only the scalar |B_v|. Per interaction: relay
@@ -12,71 +10,88 @@ import scala.collection.mutable
   * exposes [[generatedBy]] — the total quantity each vertex generated —
   * which §7.3 uses to pick the top-k contributing vertices for selective
   * provenance.
+  *
+  * State is indexed by vertex id, `0 until Interaction.VertexLimit`: two
+  * growable `Array[Double]`s (|B_v| and the quantity `v` generated) and a
+  * bitmap of the touched vertices. The meter charges one buffer cell on a
+  * vertex's first touch, as Alg. 1 needs nothing else.
   */
 final class NoProv(budgetBytes: Long = MemoryModel.Unbounded) extends ProvenanceEngine {
-  import NoProv.Cell
+  private val Eps = ProvenanceEngine.Eps
 
-  private val cells = mutable.LongMap.empty[Cell]
+  private var buf = new Array[Double](64)
+  private var gen = new Array[Double](64)
+  private var touched = new Array[Long](1)
   val memory = new MemoryModel(budgetBytes)
 
   /** Quantity generated (born) at the source by the last interaction. */
   var lastGenerated: Double = 0.0
 
-  private def cellOf(v: Long): Cell = {
-    var c = cells.getOrNull(v)
-    if (c == null) {
-      memory.charge(MemoryModel.BufferCellBytes)
-      c = new Cell
-      cells.update(v, c)
+  /** Grows the arrays to hold `r`'s endpoints; rejects an id outside the
+    * vertex domain.
+    */
+  private def reach(r: Interaction): Unit = {
+    val top = Interaction.checkIds(r)
+    if (top >= buf.length) {
+      val n = Interaction.roomFor(top)
+      buf = java.util.Arrays.copyOf(buf, n)
+      gen = java.util.Arrays.copyOf(gen, n)
+      touched = java.util.Arrays.copyOf(touched, (n + 63) >>> 6)
     }
-    c
+  }
+
+  /** Charges `v`'s buffer cell on its first touch. */
+  private def touch(v: Int): Unit = {
+    val bit = 1L << v
+    if ((touched(v >>> 6) & bit) == 0) {
+      memory.charge(MemoryModel.BufferCellBytes)
+      touched(v >>> 6) |= bit
+    }
   }
 
   override def process(r: Interaction): Unit = {
-    val s = cellOf(r.s)
-    val relayed = math.min(r.q, s.buf)
+    if ((r.s | r.d) < 0 || r.s >= buf.length || r.d >= buf.length) reach(r)
+    val s = r.s.toInt; val d = r.d.toInt
+    touch(s)
+    val relayed = math.min(r.q, buf(s))
     val born = r.q - relayed
     lastGenerated = born
-    s.buf -= relayed
-    if (born > 0) s.gen += born
-    cellOf(r.d).buf += r.q
+    buf(s) -= relayed
+    if (born > 0) gen(s) += born
+    touch(d)
+    buf(d) += r.q
   }
 
-  override def bufferTotal(v: Long): Double = {
-    val c = cells.getOrNull(v)
-    if (c == null) 0.0 else c.buf
-  }
+  private def at(a: Array[Double], v: Long): Double =
+    if (v >= 0 && v < a.length) a(v.toInt) else 0.0
+
+  override def bufferTotal(v: Long): Double = at(buf, v)
 
   override def provenance(v: Long): Seq[ProvEntry] = {
     // NoProv does not track origins: the whole buffer is of unknown
     // provenance, reported under the artificial origin α = -1.
     val q = bufferTotal(v)
-    if (q > ProvenanceEngine.Eps) Seq(ProvEntry(-1L, q)) else Nil
+    if (q > Eps) Seq(ProvEntry(-1L, q)) else Nil
   }
 
   override def vertices: Iterator[Long] =
-    cells.iterator.collect { case (v, c) if c.buf > ProvenanceEngine.Eps => v }
+    Iterator.range(0, buf.length).filter(buf(_) > Eps).map(_.toLong)
+
+  override protected def addEntries(rows: SnapshotRows): Unit = {
+    var v = 0
+    while (v < buf.length) {
+      if (buf(v) > Eps) { rows.vertex(v.toLong); rows += ProvEntry(-1L, buf(v)) }
+      v += 1
+    }
+  }
 
   /** Total quantity generated at `v` over the whole run. */
-  def generatedBy(v: Long): Double = {
-    val c = cells.getOrNull(v)
-    if (c == null) 0.0 else c.gen
-  }
+  def generatedBy(v: Long): Double = at(gen, v)
 
   /** The k vertices that generated the largest total quantities
     * (ties broken by vertex id for determinism) — the §7.3 selection.
     */
   def topGenerators(k: Int): Vector[Long] =
-    cells.iterator.collect { case (v, c) if c.gen > 0 => (v, c.gen) }.toVector
+    Iterator.range(0, gen.length).filter(gen(_) > 0).map(v => (v.toLong, gen(v))).toVector
       .sortBy { case (v, q) => (-q, v) }.take(k).map(_._1)
-}
-
-object NoProv {
-  /** One vertex's state: |B_v| and the quantity it generated so far. The
-    * meter charges only the buffer cell, as Alg. 1 needs nothing else.
-    */
-  private final class Cell {
-    var buf = 0.0
-    var gen = 0.0
-  }
 }

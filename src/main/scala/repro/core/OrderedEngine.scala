@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 
 /** Algorithm 2, generalised over the four ordered selection policies.
   *
@@ -46,6 +46,14 @@ import scala.collection.mutable
   * only reachable with per-origin entries — whereas the worked Table 4
   * keeps duplicates; both semantics are supported, defaulting to the
   * pseudocode-faithful one. Benchmarks use `consolidate = true`.
+  * A consolidated buffer finds an origin's entry by scanning while it is
+  * short, and through an open-addressing origin index once it is long.
+  * An arrival is metered as a new entry and then uncharged if it merges,
+  * but no element is allocated for a split part or newborn that merges.
+  *
+  * Buffers are held in an array indexed by vertex id, so ids must lie in
+  * `0 until Interaction.VertexLimit`; an interaction with an endpoint
+  * outside it is rejected with [[InvalidInteraction]].
   */
 final class OrderedEngine(
     val policy: Policy,
@@ -61,10 +69,11 @@ final class OrderedEngine(
 
   val memory = new MemoryModel(budgetBytes)
   private val withBirth = Policy.usesBirthTime(policy)
+  private val lifo = policy == Policy.Lifo
   private val entryBytes =
     if (withBirth) MemoryModel.TripleBytes else MemoryModel.PairBytes
 
-  private val buffers = mutable.LongMap.empty[Buf]
+  private var buffers = new Array[Buf](64) // by vertex id; null until first received
   private var events = 0L
   private var elemCount = 0L
   private var entryBytesLive = 0L
@@ -72,20 +81,13 @@ final class OrderedEngine(
   private var pathBytesLive = 0L
   private var pathBytesPeak = 0L
 
-  private def newElem(origin: Long, birth: Long, event: Long, q: Double, path: List[Long],
-                      hops: Int): Elem = {
+  /** Meters one new entry carrying `hops` relay hops. */
+  private def chargeEntry(hops: Int): Unit = {
     elemCount += 1
     memory.charge(entryBytes)
     entryBytesLive += entryBytes
     if (entryBytesLive > entryBytesPeak) entryBytesPeak = entryBytesLive
     if (trackPaths) chargePath(hops.toLong)
-    new Elem(origin, birth, event, q, path, hops)
-  }
-
-  /** A newborn element, with the next event number. */
-  private def newborn(origin: Long, birth: Long, q: Double, path: List[Long]): Elem = {
-    events += 1
-    newElem(origin, birth, events, q, path, 0)
   }
 
   private def chargePath(hops: Long): Unit = {
@@ -95,49 +97,63 @@ final class OrderedEngine(
     if (pathBytesLive > pathBytesPeak) pathBytesPeak = pathBytesLive
   }
 
-  /** Uncharge an arrival that was added into an existing entry. */
-  private def discard(e: Elem): Unit = {
+  /** Uncharges an arrival of `hops` hops that was added into an existing entry. */
+  private def uncharge(hops: Int): Unit = {
     elemCount -= 1
     memory.charge(-entryBytes)
     entryBytesLive -= entryBytes
     if (trackPaths) {
-      val hopBytes = e.hops.toLong * MemoryModel.PathNodeBytes
+      val hopBytes = hops.toLong * MemoryModel.PathNodeBytes
       memory.charge(-hopBytes)
       pathBytesLive -= hopBytes
     }
   }
 
-  private def bufOf(v: Long): Buf = {
-    var b = buffers.getOrNull(v)
+  /** Makes room for vertex ids up to `top`. */
+  private def reach(top: Long): Unit =
+    if (top >= buffers.length) buffers = java.util.Arrays.copyOf(buffers, Interaction.roomFor(top))
+
+  private def bufOf(v: Int): Buf = {
+    var b = buffers(v)
     if (b == null) {
-      b = if (withBirth) new SortedBuf(policy == Policy.MostRecentlyBorn, discard)
-          else new DequeBuf(policy == Policy.Lifo, consolidate, discard)
-      buffers.update(v, b)
+      b = if (withBirth) new SortedBuf(policy == Policy.MostRecentlyBorn)
+          else new DequeBuf(lifo, consolidate)
+      buffers(v) = b
     }
     b
   }
 
-  /** Elements selected by the current interaction, in selection order. */
-  private val moved = mutable.ArrayBuffer.empty[Elem]
+  private def bufOrNull(v: Long): Buf =
+    if (v >= 0 && v < buffers.length) buffers(v.toInt) else null
+
+  /** Elements wholly selected by the current interaction, in selection order. */
+  private var moved = new Array[Elem](16)
+  private var nMoved = 0
+
+  /** Places a wholly moved element at `dst`, uncharging it if it merges. */
+  private def placeMoved(dst: Buf, e: Elem): Unit = if (dst.insert(e)) uncharge(e.hops)
 
   override def process(r: Interaction): Unit = {
+    if ((r.s | r.d) < 0 || r.s >= buffers.length || r.d >= buffers.length)
+      reach(Interaction.checkIds(r))
     var resq = r.q
-    val src = buffers.getOrNull(r.s)
-    moved.clear()
-    var split: Elem = null // birth-keyed τ split by this interaction;
+    val src = buffers(r.s.toInt)
+    nMoved = 0
+    var split: Elem = null // τ split by this interaction;
     var splitQ = 0.0       // its part `splitQ` moves too
     if (src != null) {
       while (resq > Eps && src.nonEmpty) {
         val tau = src.peek
         if (tau.q > resq + Eps) { // split τ: keep remainder at source
           tau.q -= resq
-          if (withBirth) { split = tau; splitQ = resq }
-          else moved += newElem(tau.origin, tau.birth, tau.event, resq, tau.path, tau.hops)
+          split = tau; splitQ = resq
+          if (!withBirth) chargeEntry(tau.hops) // a receipt-order part is metered as it leaves
           resq = 0.0
         } else { // transfer the whole element
           src.pop()
           resq -= tau.q
-          moved += tau
+          if (nMoved == moved.length) moved = java.util.Arrays.copyOf(moved, 2 * nMoved)
+          moved(nMoved) = tau; nMoved += 1
         }
       }
       if (resq < Eps) resq = 0.0
@@ -145,39 +161,85 @@ final class OrderedEngine(
     }
     if (trackPaths) {
       var i = 0
-      while (i < moved.length) {
+      while (i < nMoved) {
         val e = moved(i); e.path = r.s :: e.path; e.hops += 1; chargePath(1L); i += 1
       }
+      if (split != null && !withBirth) chargePath(1L) // the part, selected last
     }
-    val dst = bufOf(r.d)
-    dst.receive(moved)
-    if (split != null && !dst.addTo(split.birth, split.event, splitQ)) {
-      // the part's newborn has no entry at r.d yet: the part becomes one
-      dst.receiveNewborn(
-        if (trackPaths)
-          newElem(split.origin, split.birth, split.event, splitQ, r.s :: split.path, split.hops + 1)
-        else newElem(split.origin, split.birth, split.event, splitQ, Nil, 0))
+    val dst = bufOf(r.d.toInt)
+    if (withBirth) {
+      var i = 0
+      while (i < nMoved) { placeMoved(dst, moved(i)); i += 1 }
+      if (split != null && !dst.addTo(split.origin, split.birth, split.event, splitQ)) {
+        // the part's newborn has no entry at r.d yet: the part becomes one
+        val hops = if (trackPaths) split.hops + 1 else 0
+        chargeEntry(hops)
+        dst.place(new Elem(split.origin, split.birth, split.event, splitQ,
+                           if (trackPaths) r.s :: split.path else Nil, hops))
+      }
+    } else if (lifo) { // the chunk keeps its source orientation: the part goes first
+      placePart(dst, split, splitQ, r.s)
+      var i = nMoved - 1
+      while (i >= 0) { placeMoved(dst, moved(i)); i -= 1 }
+    } else {
+      var i = 0
+      while (i < nMoved) { placeMoved(dst, moved(i)); i += 1 }
+      placePart(dst, split, splitQ, r.s)
     }
+    java.util.Arrays.fill(moved.asInstanceOf[Array[AnyRef]], 0, nMoved, null)
     if (resq > Eps) { // newborn quantity at the source (Alg. 2 lines 18–21)
-      dst.receiveNewborn(newborn(r.s, r.t, resq, if (trackPaths) List(r.s) else Nil))
-      resq = 0.0
+      events += 1
+      chargeEntry(0)
+      if (consolidate && dst.addTo(r.s, r.t, events, resq)) uncharge(0)
+      else dst.place(new Elem(r.s, r.t, events, resq, if (trackPaths) List(r.s) else Nil, 0))
     }
     dst.total += r.q
   }
 
+  /** Places the already metered receipt-order part `q` split off `tau`,
+    * relayed by `s`: added into its origin's entry, or a new element.
+    */
+  private def placePart(dst: Buf, tau: Elem, q: Double, s: Long): Unit = if (tau != null) {
+    val hops = if (trackPaths) tau.hops + 1 else tau.hops
+    if (dst.addTo(tau.origin, tau.birth, tau.event, q)) uncharge(hops)
+    else dst.place(new Elem(tau.origin, tau.birth, tau.event, q,
+                            if (trackPaths) s :: tau.path else tau.path, hops))
+  }
+
   override def bufferTotal(v: Long): Double = {
-    val b = buffers.getOrNull(v)
+    val b = bufOrNull(v)
     if (b == null) 0.0 else b.total
   }
 
   /** Buffer entries in the buffer's order: queue head→tail, stack
     * bottom→top, or birth order (oldest first) for LRB/MRB.
     */
-  override def provenance(v: Long): Seq[ProvEntry] =
-    buffers.get(v).map(_.elements.map(_.toProv(withBirth, trackPaths))).getOrElse(Nil)
+  override def provenance(v: Long): Seq[ProvEntry] = {
+    val b = bufOrNull(v)
+    if (b == null) Nil
+    else {
+      val out = ArraySeq.newBuilder[ProvEntry]
+      b.foreach(e => out += e.toProv(withBirth, trackPaths))
+      out.result()
+    }
+  }
 
   override def vertices: Iterator[Long] =
-    buffers.iterator.collect { case (v, b) if b.nonEmpty => v }
+    Iterator.range(0, buffers.length).filter { v =>
+      val b = buffers(v); b != null && b.nonEmpty
+    }.map(_.toLong)
+
+  override protected def addEntries(rows: SnapshotRows): Unit = {
+    var v = 0
+    while (v < buffers.length) {
+      val b = buffers(v)
+      if (b != null && b.nonEmpty) {
+        rows.vertex(v.toLong)
+        b.foreach(e => rows += e.toProv(withBirth, trackPaths))
+      }
+      v += 1
+    }
+  }
 
   /** Live provenance elements (buffer entries) across all buffers. */
   def liveElements: Long = elemCount
@@ -190,8 +252,10 @@ final class OrderedEngine(
   def exportQueues: Map[Long, Vector[(Long, Double)]] = {
     require(!withBirth && !trackPaths && !consolidate,
             "exportQueues supports plain FIFO/LIFO only")
-    buffers.iterator.collect {
-      case (v, b) if b.nonEmpty => v -> b.elements.map(e => (e.origin, e.q)).toVector
+    vertices.map { v =>
+      val q = Vector.newBuilder[(Long, Double)]
+      buffers(v.toInt).foreach(e => q += ((e.origin, e.q)))
+      v -> q.result()
     }.toMap
   }
 
@@ -201,11 +265,15 @@ final class OrderedEngine(
   def importQueues(state: Map[Long, Vector[(Long, Double)]]): this.type = {
     require(!withBirth && !trackPaths && !consolidate,
             "importQueues supports plain FIFO/LIFO only")
-    require(buffers.isEmpty, "importQueues requires a fresh engine")
+    require(buffers.forall(_ == null), "importQueues requires a fresh engine")
     state.foreach { case (v, pairs) =>
-      val b = bufOf(v)
+      require(v >= 0 && v < Interaction.VertexLimit, s"vertex id $v is outside the vertex domain")
+      reach(v)
+      val b = bufOf(v.toInt)
       pairs.foreach { case (o, q) =>
-        b.receiveNewborn(newborn(o, -1L, q, Nil)) // appends at tail, keeping order
+        events += 1
+        chargeEntry(0)
+        b.place(new Elem(o, -1L, events, q, Nil, 0)) // appends at tail, keeping order
         b.total += q
       }
     }
@@ -225,15 +293,19 @@ final class OrderedEngine(
     */
   def avgPathLength: Double = {
     var n = 0L; var sum = 0L
-    buffers.valuesIterator.foreach(_.elements.foreach { e =>
-      n += 1; sum += e.hops
-    })
+    buffers.foreach(b => if (b != null) b.foreach { e => n += 1; sum += e.hops })
     if (n == 0) 0.0 else sum.toDouble / n
   }
 }
 
 object OrderedEngine {
   private val Eps = ProvenanceEngine.Eps
+
+  /** A consolidated buffer longer than this finds origins through an
+    * [[OriginIndex]] instead of a scan; it drops the index again once it
+    * is shorter than half of this.
+    */
+  private[core] val IndexFrom = 16
 
   /** A quantity element in a buffer. `event` numbers the newborn it was
     * split from. `path` is most-recent-transmitter first; the origin is
@@ -264,25 +336,26 @@ object OrderedEngine {
     def peek: Elem
     /** Remove the element returned by [[peek]]. */
     def pop(): Unit
-    /** Add a transferred chunk, given in selection (pop) order. */
-    def receive(chunk: collection.IndexedSeq[Elem]): Unit
-    /** Add one new element after the chunk: a newborn, or a birth-keyed
-      * part whose newborn has no entry here.
+    /** Adds `e` into the entry it merges with and returns true, or places
+      * it as a new entry and returns false.
       */
-    def receiveNewborn(e: Elem): Unit
-    /** Add `q` of newborn `event` into its entry; false if there is none. */
-    def addTo(birth: Long, event: Long, q: Double): Boolean
-    /** All elements in the buffer's canonical display order. */
-    def elements: Seq[Elem]
+    def insert(e: Elem): Boolean
+    /** Places `e`, which merges with no entry here, as a new entry. */
+    def place(e: Elem): Unit
+    /** Adds `q` into the entry that an arrival of (origin, birth, event)
+      * merges with; false if there is none.
+      */
+    def addTo(origin: Long, birth: Long, event: Long, q: Double): Boolean
+    /** Calls `f` on the elements in the buffer's display order. */
+    def foreach(f: Elem => Unit): Unit
   }
 
   /** §4.1 — entries `a(lo until hi)` sorted by (birth, event), oldest
     * first, at most one per newborn event. MRB (`youngFirst`) selects
     * from the young end, LRB from the old end. An arrival for a newborn
-    * that already has an entry is added into it (`onDiscard` uncharges
-    * the arrival).
+    * that already has an entry is added into it.
     */
-  private final class SortedBuf(youngFirst: Boolean, onDiscard: Elem => Unit) extends Buf {
+  private final class SortedBuf(youngFirst: Boolean) extends Buf {
     private var a = new Array[Elem](4)
     private var lo = 2
     private var hi = 2
@@ -309,21 +382,26 @@ object OrderedEngine {
         l
       }
 
-    def addTo(birth: Long, event: Long, q: Double): Boolean = {
+    def addTo(origin: Long, birth: Long, event: Long, q: Double): Boolean = {
       val i = find(birth, event)
       if (i < hi && a(i).event == event) { a(i).q += q; true } else false
     }
 
-    private def insert(e: Elem): Unit = {
-      var i = find(e.birth, e.event)
-      if (i < hi && a(i).event == e.event) { a(i).q += e.q; onDiscard(e) }
-      else {
-        if (lo == 0 || hi == a.length) i += makeRoom()
-        if (i - lo < hi - i) { // shift the older side down by one
-          System.arraycopy(a, lo, a, lo - 1, i - lo); lo -= 1; a(i - 1) = e
-        } else {
-          System.arraycopy(a, i, a, i + 1, hi - i); hi += 1; a(i) = e
-        }
+    def insert(e: Elem): Boolean = {
+      val i = find(e.birth, e.event)
+      if (i < hi && a(i).event == e.event) { a(i).q += e.q; true }
+      else { insertAt(i, e); false }
+    }
+
+    def place(e: Elem): Unit = insertAt(find(e.birth, e.event), e)
+
+    private def insertAt(at: Int, e: Elem): Unit = {
+      var i = at
+      if (lo == 0 || hi == a.length) i += makeRoom()
+      if (i - lo < hi - i) { // shift the older side down by one
+        System.arraycopy(a, lo, a, lo - 1, i - lo); lo -= 1; a(i - 1) = e
+      } else {
+        System.arraycopy(a, i, a, i + 1, hi - i); hi += 1; a(i) = e
       }
     }
 
@@ -345,46 +423,138 @@ object OrderedEngine {
       shift
     }
 
-    def receive(chunk: collection.IndexedSeq[Elem]): Unit = {
-      var i = 0
-      while (i < chunk.length) { insert(chunk(i)); i += 1 }
+    def foreach(f: Elem => Unit): Unit = {
+      var i = lo
+      while (i < hi) { f(a(i)); i += 1 }
     }
-    def receiveNewborn(e: Elem): Unit = insert(e)
-    def elements: Seq[Elem] = a.slice(lo, hi).toSeq
   }
 
-  /** §4.2 — FIFO queue (`lifoMode = false`) or LIFO stack. With
-    * `consolidate`, at most one entry per origin: arrivals for a known
-    * origin add to the existing entry in place (`onDiscard` lets the
-    * engine uncharge the merged-away arrival).
+  /** §4.2 — FIFO queue (`lifoMode = false`) or LIFO stack over a ring
+    * `a` of power-of-two length, from `head`, `n` long. With
+    * `consolidate`, at most one entry per origin: an arrival for a known
+    * origin adds into the existing entry, which keeps its place and path.
+    * The entry is found by a scan of the ring, or through `index` while
+    * the buffer is long.
     */
-  private final class DequeBuf(lifoMode: Boolean, consolidate: Boolean,
-                               onDiscard: Elem => Unit) extends Buf {
-    private val d = mutable.ArrayDeque.empty[Elem]
-    private val idx = if (consolidate) mutable.LongMap.empty[Elem] else null
-    def nonEmpty: Boolean = d.nonEmpty
-    def peek: Elem = if (lifoMode) d.last else d.head
+  private final class DequeBuf(lifoMode: Boolean, consolidate: Boolean) extends Buf {
+    private var a = new Array[Elem](4)
+    private var head = 0
+    private var n = 0
+    private var index: OriginIndex = null
+
+    private def slot(i: Int): Int = (head + i) & (a.length - 1)
+    def nonEmpty: Boolean = n > 0
+    def peek: Elem = a(if (lifoMode) slot(n - 1) else head)
+
     def pop(): Unit = {
-      val e = if (lifoMode) d.removeLast() else d.removeHead()
-      if (idx != null) idx.remove(e.origin)
-      ()
-    }
-    private def insert(e: Elem): Unit = {
-      if (idx != null) {
-        idx.getOrNull(e.origin) match {
-          case null => idx(e.origin) = e; d.append(e)
-          case ex   => ex.q += e.q; onDiscard(e) // existing entry keeps place+path
-        }
-      } else d.append(e)
-    }
-    def receive(chunk: collection.IndexedSeq[Elem]): Unit = {
-      var i = 0
-      while (i < chunk.length) { // LIFO keeps the source orientation
-        insert(if (lifoMode) chunk(chunk.length - 1 - i) else chunk(i)); i += 1
+      val s = if (lifoMode) slot(n - 1) else head
+      val e = a(s)
+      a(s) = null
+      if (!lifoMode) head = (head + 1) & (a.length - 1)
+      n -= 1
+      if (index != null) {
+        if (2 * n < IndexFrom) index = null else index.remove(e.origin.toInt)
       }
     }
-    def receiveNewborn(e: Elem): Unit = insert(e)
-    def addTo(birth: Long, event: Long, q: Double): Boolean = false // parts come as elements
-    def elements: Seq[Elem] = d.toSeq // head→tail == queue order / stack bottom→top
+
+    def place(e: Elem): Unit = {
+      if (n == a.length) grow()
+      val s = slot(n)
+      a(s) = e
+      n += 1
+      if (index != null) index.put(e.origin.toInt, s)
+      else if (consolidate && n > IndexFrom) buildIndex()
+    }
+
+    /** Doubles the ring, moving the entries to its start. */
+    private def grow(): Unit = {
+      val b = new Array[Elem](2 * a.length)
+      val first = math.min(n, a.length - head)
+      System.arraycopy(a, head, b, 0, first)
+      System.arraycopy(a, 0, b, first, n - first)
+      a = b
+      head = 0
+      if (index != null) buildIndex()
+    }
+
+    private def buildIndex(): Unit = {
+      index = new OriginIndex(2 * a.length)
+      var i = 0
+      while (i < n) { val s = slot(i); index.put(a(s).origin.toInt, s); i += 1 }
+    }
+
+    /** Slot of `origin`'s entry, or −1. */
+    private def find(origin: Long): Int =
+      if (index != null) index.get(origin.toInt)
+      else {
+        var i = 0
+        while (i < n) {
+          val s = slot(i)
+          if (a(s).origin == origin) return s
+          i += 1
+        }
+        -1
+      }
+
+    def addTo(origin: Long, birth: Long, event: Long, q: Double): Boolean =
+      consolidate && {
+        val s = find(origin)
+        s >= 0 && { a(s).q += q; true }
+      }
+
+    def insert(e: Elem): Boolean =
+      addTo(e.origin, e.birth, e.event, e.q) || { place(e); false }
+
+    def foreach(f: Elem => Unit): Unit = { // head→tail == queue order / stack bottom→top
+      var i = 0
+      while (i < n) { f(a(slot(i))); i += 1 }
+    }
+  }
+
+  /** Open-addressing map from origin (a vertex id, ≥ 0) to ring slot, with
+    * linear probing in `capacity` (a power of two) cells. Deletion shifts
+    * the rest of the probe run back (Knuth, TAOCP vol. 3, §6.4,
+    * Algorithm R), so no tombstones pile up and the table never needs a
+    * repack. Callers keep the load at most one half.
+    */
+  private final class OriginIndex(capacity: Int) {
+    private val keys = Array.fill(capacity)(-1) // −1: empty cell
+    private val slots = new Array[Int](capacity)
+    private val mask = capacity - 1
+    private val shift = Integer.numberOfLeadingZeros(capacity) + 1
+
+    /** Fibonacci hashing: the top bits of `k·2^32/φ`. */
+    private def home(k: Int): Int = (k * 0x9E3779B9) >>> shift
+
+    def get(k: Int): Int = {
+      var i = home(k)
+      while (keys(i) != -1) {
+        if (keys(i) == k) return slots(i)
+        i = (i + 1) & mask
+      }
+      -1
+    }
+
+    def put(k: Int, s: Int): Unit = {
+      var i = home(k)
+      while (keys(i) != -1 && keys(i) != k) i = (i + 1) & mask
+      keys(i) = k; slots(i) = s
+    }
+
+    /** Removes `k`, which must be present. */
+    def remove(k: Int): Unit = {
+      var i = home(k)
+      while (keys(i) != k) i = (i + 1) & mask
+      var j = i
+      while (true) {
+        j = (j + 1) & mask
+        val kj = keys(j)
+        if (kj == -1) { keys(i) = -1; return }
+        // kj may fill the hole at i unless its home lies cyclically in (i, j]
+        if (((j - home(kj)) & mask) >= ((j - i) & mask)) {
+          keys(i) = kj; slots(i) = slots(j); i = j
+        }
+      }
+    }
   }
 }

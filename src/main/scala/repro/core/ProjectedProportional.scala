@@ -98,6 +98,17 @@ abstract class ProjectedProportional(
 
   override def vertices: Iterator[Long] =
     rows.iterator.collect { case (v, r) if r.total > Eps => v }
+
+  override protected def addEntries(out: SnapshotRows): Unit = {
+    val vs = vertices.toArray
+    java.util.Arrays.sort(vs)
+    vs.foreach { v =>
+      val p = rows(v).p
+      out.vertex(v)
+      var i = 0
+      while (i < numSlots) { if (p(i) > Eps) out += ProvEntry(labelOf(i), p(i)); i += 1 }
+    }
+  }
 }
 
 /** §4.3 — proportional provenance with dense vectors: one slot per vertex,

@@ -33,6 +33,8 @@ final class ProportionalSparse(
 
   override def vertices: Iterator[Long] = lists.vertices
 
+  override protected def addEntries(rows: SnapshotRows): Unit = lists.addEntries(rows)
+
   /** Live (origin, quantity) entries across all lists. */
   def liveEntries: Long = lists.live
 

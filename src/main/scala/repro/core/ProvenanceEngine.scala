@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.VectorBuilder
+
 /** One (origin, quantity) component of a buffer's provenance
   * decomposition — a τ of Definition 2. `birth` is the generation time
   * where the policy tracks it (§4.1) and −1 otherwise; `path` is the
@@ -39,9 +41,41 @@ trait ProvenanceEngine {
   /** Analytic memory meter (see [[MemoryModel]]). */
   def memory: MemoryModel
 
-  /** Full decomposition of every non-empty buffer, for result export. */
-  final def snapshot(): Vector[(Long, ProvEntry)] =
-    vertices.flatMap(v => provenance(v).map(v -> _)).toVector
+  /** Adds every entry of every non-empty buffer to `rows`: vertices in
+    * ascending order, each vertex's entries in [[provenance]] order. This
+    * default sorts [[vertices]] and reads [[provenance]]; engines override
+    * it with a direct walk over their state.
+    */
+  protected def addEntries(rows: SnapshotRows): Unit = {
+    val vs = vertices.toArray
+    java.util.Arrays.sort(vs)
+    vs.foreach { v => rows.vertex(v); provenance(v).foreach(rows += _) }
+  }
+
+  /** Full decomposition of every non-empty buffer, for result export:
+    * `(vertex, entry)` rows in ascending vertex order, each vertex's
+    * entries in [[provenance]] order.
+    */
+  final def snapshot(): Vector[(Long, ProvEntry)] = {
+    val rows = new SnapshotRows
+    addEntries(rows)
+    rows.result()
+  }
+}
+
+/** The rows of a [[ProvenanceEngine.snapshot]] being built: [[vertex]]
+  * starts a vertex, `+=` adds one of its entries. The vertex id is boxed
+  * once per vertex, not once per row.
+  */
+final class SnapshotRows private[core] () {
+  private val b = new VectorBuilder[(Long, ProvEntry)]
+  private var v: Any = null
+
+  def vertex(id: Long): Unit = v = id
+
+  def +=(e: ProvEntry): Unit = b += Tuple2(v, e).asInstanceOf[(Long, ProvEntry)]
+
+  private[core] def result(): Vector[(Long, ProvEntry)] = b.result()
 }
 
 object ProvenanceEngine {

@@ -23,8 +23,8 @@ import scala.collection.mutable
   *
   * A list destination turns dense before a merge when the source is dense
   * or the two lists together hold at least 1/[[SparseLists.DenseRatio]]
-  * of the store's origin range (the array-vs-bitmap container rule of
-  * Roaring bitmaps). A dense row turns back into a list when a whole move
+  * of the store's origin range, or of one bitmap word while the range is
+  * narrower (the array-vs-bitmap container rule of Roaring bitmaps). A dense row turns back into a list when a whole move
   * empties it, at [[resetAll]], before a [[shrink]], or when the store's
   * origin range outgrows [[SparseLists.MaxWidth]]. It then keeps its
   * zeroed dense arrays, if they span at most [[SparseLists.MaxKeptWidth]]
@@ -119,7 +119,8 @@ private[core] final class SparseLists(memory: MemoryModel) {
   private def merge(ps: Row, pd: Row, frac: Double, whole: Boolean): Unit = {
     if (ps.n == 0) return
     if (pd.dense && !covers(pd)) regrow(pd)
-    if (!pd.dense && width <= MaxWidth && (ps.dense || (ps.n.toLong + pd.n) * DenseRatio >= width))
+    if (!pd.dense && width <= MaxWidth &&
+        (ps.dense || (ps.n.toLong + pd.n) * DenseRatio >= math.max(width, MinDenseWidth)))
       toDense(pd)
     if (ps.dense && !pd.dense) { toList(ps); listedByWidth += 1 } // pd cannot turn dense
     if (pd.dense) {
@@ -388,6 +389,15 @@ private[core] final class SparseLists(memory: MemoryModel) {
   /** Vertices with |B_v| > Eps. */
   def vertices: Iterator[Long] = rows.iterator.collect { case (v, r) if r.total > Eps => v }
 
+  /** Adds the fragments of every vertex with |B_v| > Eps to `out`:
+    * vertices ascending, each one's fragments in ascending origin order.
+    */
+  def addEntries(out: SnapshotRows): Unit = {
+    val vs = vertices.toArray
+    java.util.Arrays.sort(vs)
+    vs.foreach { v => out.vertex(v); foreachEntry(rows(v))((o, q) => out += ProvEntry(o, q)) }
+  }
+
   /** Live fragments, counted over the rows. */
   def live: Long = rows.valuesIterator.map(_.n.toLong).sum
 
@@ -407,6 +417,13 @@ private[core] object SparseLists {
     * 16, at 8; at 16 the budget rows of C = 20 turn dense and shrink back.
     */
   val DenseRatio = 8
+
+  /** A dense row spans at least one bitmap word of origins, so a list
+    * turns dense at no fewer than `MinDenseWidth / DenseRatio` fragments
+    * however narrow the range: narrower ranges made short rows turn
+    * dense that were soon shrunk or regrown back.
+    */
+  val MinDenseWidth = 64L
 
   /** The widest origin range a dense row may span. */
   val MaxWidth: Long = 1L << 27

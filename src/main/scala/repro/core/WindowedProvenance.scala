@@ -46,6 +46,8 @@ final class WindowedProvenance(
 
   override def vertices: Iterator[Long] = odd.vertices
 
+  override protected def addEntries(rows: SnapshotRows): Unit = active.addEntries(rows)
+
   /** Live entries summed over both stores (the space actually held). */
   def liveEntries: Long = odd.live + even.live
 }

@@ -28,7 +28,9 @@ final case class ProvRow(vertex: Long, origin: Long, quantity: Double, birth: Lo
 object DistributedProvenance {
 
   /** Engine factory — must be serializable so executors can instantiate
-    * engines; all policy configuration is baked into the closure.
+    * engines; all policy configuration is baked into the closure. Its
+    * engines see a component's dense vertex ids `0 … n−1`, so a slot map
+    * keyed on the input's vertex ids does not fit here.
     */
   type EngineFactory = () => ProvenanceEngine
 
@@ -47,7 +49,9 @@ object DistributedProvenance {
   }
 
   /** Run `makeEngine` per component and emit the final buffer
-    * decompositions as a Dataset of [[ProvRow]].
+    * decompositions as a Dataset of [[ProvRow]]. Each engine replays its
+    * component over dense vertex ids ([[ComponentInput]]); its rows are
+    * decoded back to the input's ids.
     */
   def run(spark: SparkSession, interactions: DataFrame,
           makeEngine: EngineFactory): Dataset[ProvRow] = {
@@ -55,11 +59,11 @@ object DistributedProvenance {
     tag(spark, interactions)
       .groupByKey(_.component)
       .flatMapGroups { (_, it) =>
-        val rs = it.toArray.sortInPlaceBy(r => (r.ts, r.id))
+        val in = ComponentInput(it)
         val eng = makeEngine()
-        rs.foreach(r => eng.process(Interaction(r.src, r.dst, r.ts, r.qty, r.id)))
+        in.interactions.foreach(eng.process)
         eng.snapshot().iterator.map { case (v, e) =>
-          ProvRow(v, e.origin, e.quantity, e.birth)
+          ProvRow(in.decode(v), in.decode(e.origin), e.quantity, e.birth)
         }
       }
   }

@@ -52,13 +52,16 @@ object StreamingProvenance {
       state: GroupState[ComponentState],
   ): Iterator[StreamedProvRow] = {
     val prev = state.getOption.getOrElse(ComponentState(Map.empty, 0))
-    val eng = new OrderedEngine(policy).importQueues(prev.buffers)
-    val rs = rows.toArray.sortInPlaceBy(r => (r.ts, r.id))
-    rs.foreach(r => eng.process(Interaction(r.src, r.dst, r.ts, r.qty, r.id)))
+    val carried = prev.buffers.keys ++ prev.buffers.valuesIterator.flatMap(_.map(_._1))
+    val in = ComponentInput(rows, carried)
+    def recode(buffers: Map[Long, Vector[(Long, Double)]], f: Long => Long) =
+      buffers.map { case (v, q) => f(v) -> q.map { case (o, x) => (f(o), x) } }
+    val eng = new OrderedEngine(policy).importQueues(recode(prev.buffers, in.encode))
+    in.interactions.foreach(eng.process)
     val batch = prev.batches + 1
-    state.update(ComponentState(eng.exportQueues, batch))
+    state.update(ComponentState(recode(eng.exportQueues, in.decode), batch))
     eng.snapshot().iterator.map { case (v, e) =>
-      StreamedProvRow(batch, v, e.origin, e.quantity)
+      StreamedProvRow(batch, in.decode(v), in.decode(e.origin), e.quantity)
     }
   }
 }

@@ -116,6 +116,26 @@ class DistributedProvenanceSpec extends SparkSpec {
     TestTins.assertMapsEqual(got, TestTins.originTotals(e), tol = 1e-6)
   }
 
+  test("ids shifted by 2^40 give the unshifted rows, shifted") {
+    val shift = 1L << 40
+    val shifted = tin4.withColumn("src", col("src") + shift).withColumn("dst", col("dst") + shift)
+    def up(id: Long) = if (id == -1L) id else id + shift
+    val nv = profile.vertices
+    Seq[(String, DistributedProvenance.EngineFactory)](
+      "NoProv" -> (() => new NoProv()),
+      "LRB" -> (() => new OrderedEngine(Policy.LeastRecentlyBorn)),
+      "LIFO" -> (() => new OrderedEngine(Policy.Lifo, consolidate = true)),
+      "PropDense" -> (() => new ProportionalDense(nv)),
+    ).foreach { case (name, make) =>
+      val plain = DistributedProvenance.run(spark, tin4, make).collect()
+      val moved = DistributedProvenance.run(spark, shifted, make).collect()
+      assert(plain.nonEmpty)
+      assert(moved.sortBy(r => (r.vertex, r.origin, r.birth, r.quantity)).toSeq ===
+               plain.map(r => r.copy(vertex = up(r.vertex), origin = up(r.origin)))
+                 .sortBy(r => (r.vertex, r.origin, r.birth, r.quantity)).toSeq, name)
+    }
+  }
+
   test("birth times survive the distributed path for gen-time policies") {
     val rows = DistributedProvenance
       .run(spark, tin4, () => new OrderedEngine(Policy.LeastRecentlyBorn))
